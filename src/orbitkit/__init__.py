@@ -5,7 +5,8 @@ of a dynamical system.  The library provides the transforms between
 the orbit, fixed-point and orbit-monoid views, product/union/iterate
 operators, Dirichlet and zeta series identities, growth asymptotics,
 a brute-force simulation oracle, and a factorization search — all in
-exact integer/rational arithmetic apart from the asymptotics module.
+exact arithmetic apart from the asymptotics module: ints, with a
+Fraction only where a denominator is real.
 """
 
 from .asymptotics import (
@@ -50,7 +51,6 @@ from .oracle import (
 )
 from .sequences import (
     BuiltinSpec,
-    RationalSequence,
     Sequence,
     View,
     ViewError,
@@ -72,7 +72,7 @@ from .transforms import (
     orbit_to_fix,
     realizable_as_fix,
 )
-from .zetaseries import PowerSeries, exp_series, product_formula, zeta_from_fix
+from .zetaseries import PowerSeries, product_formula, zeta_from_fix
 
 __version__ = "0.1.0"
 
@@ -93,7 +93,6 @@ __all__ = [
     "NotRealizableError",
     "PowerSeries",
     "PrimeSet",
-    "RationalSequence",
     "Realizability",
     "Sequence",
     "VerifyResult",
@@ -112,7 +111,6 @@ __all__ = [
     "euler",
     "euler_inverse",
     "euler_phi",
-    "exp_series",
     "factor_search",
     "factorize",
     "fix_to_orbit",

@@ -6,7 +6,9 @@ input.  Internally everything is one-indexed; offsets other than 1
 exist only at the export/import boundary.
 
 Exit codes: 0 success, 1 verification failure (including
-non-realizable inputs), 2 usage error, 3 malformed input file.
+non-realizable inputs), 2 usage error, 3 malformed input (including
+non-ASCII bytes and negative terms read as orbit, fix or monoid data),
+4 internal error.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .numtheory import PrimeSet
 from .operators import iterate_orbits, product_orbits, union_orbits
 from .sequences import (
     BuiltinSpec,
-    RationalSequence,
     Sequence,
     View,
     builtin,
@@ -71,11 +72,14 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _read_values(path: Optional[str]) -> list[int]:
-    if path is None or path == "-":
-        text = sys.stdin.read()
-    else:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+    try:
+        if path is None or path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="ascii") as fh:
+                text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise BFileFormatError(f"byte {exc.start}: input is not ASCII") from None
     return list(parse_bfile(text).values)
 
 
@@ -87,18 +91,10 @@ def _read_sequence(path: Optional[str], view: View, n_terms: Optional[int] = Non
                 f"input has {len(values)} terms but {n_terms} were requested"
             )
         values = values[:n_terms]
-    return Sequence(view, tuple(values))
-
-
-def _emit_values(values, start: int = 1) -> None:
-    out = []
-    for v in values:
-        if not isinstance(v, int):
-            if v.denominator != 1:
-                raise ValueError(f"cannot emit non-integer value {v} as a b-file")
-            v = v.numerator
-        out.append(v)
-    sys.stdout.write(format_bfile(out, start))
+    try:
+        return Sequence(view, tuple(values))
+    except ValueError as exc:  # a negative term
+        raise BFileFormatError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -109,14 +105,9 @@ def _emit_values(values, start: int = 1) -> None:
 def _cmd_seq(args) -> int:
     spec = BuiltinSpec(args.name, _parse_params(args.param))
     seq = builtin(spec, args.terms)
-    if isinstance(seq, RationalSequence):
-        if args.view is not None:
-            raise ValueError(f"builtin {args.name!r} is rational-valued and has no view")
-        _emit_values(seq.terms)
-        return 0
     if args.view is not None:
         seq = convert(seq, View(args.view))
-    _emit_values(seq.terms)
+    sys.stdout.write(format_bfile(seq.terms))
     return 0
 
 
@@ -139,7 +130,7 @@ def _cmd_transform(args) -> int:
     in_view = _TRANSFORMS[args.kind][0]
     seq = _read_sequence(args.infile, in_view)
     result = convert(seq, _TRANSFORM_TARGET[args.kind])
-    _emit_values(result.terms)
+    sys.stdout.write(format_bfile(result.terms))
     return 0
 
 
@@ -167,7 +158,7 @@ def _cmd_op(args) -> int:
         b = _read_sequence(args.infile[1], View.ORBIT, args.terms)
         fn = product_orbits if args.op == "product" else union_orbits
         result = fn(a, b)
-    _emit_values(result.terms)
+    sys.stdout.write(format_bfile(result.terms))
     return 0
 
 
@@ -200,10 +191,7 @@ def _cmd_growth(args) -> int:
     if args.h <= 0:
         raise ValueError("--h must be a positive growth rate")
     spec = BuiltinSpec(args.name, _parse_params(args.param))
-    seq = builtin(spec, args.terms)
-    if isinstance(seq, RationalSequence):
-        raise ValueError(f"builtin {args.name!r} is rational-valued; growth needs orbit counts")
-    orbits = convert(seq, View.ORBIT)
+    orbits = convert(builtin(spec, args.terms), View.ORBIT)
     report = pnt_report(orbits, args.h, args.c1, args.terms)
     print(f"n_max {report.n_max}")
     print(f"h {report.h!r}")
@@ -238,12 +226,12 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    _emit_values(_read_values(args.infile), args.offset)
+    sys.stdout.write(format_bfile(_read_values(args.infile), args.offset))
     return 0
 
 
 def _cmd_import(args) -> int:
-    _emit_values(_read_values(args.infile), 1)
+    sys.stdout.write(format_bfile(_read_values(args.infile), 1))
     return 0
 
 
@@ -317,6 +305,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)  # exact terms may have any number of digits
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -336,6 +326,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
-"""Truncated Dirichlet series with exact rational coefficients.
+"""Truncated Dirichlet series with exact coefficients.
 
-A DirichletPoly holds the coefficients of n^{-s} for n = 1..N.
+A DirichletPoly holds the coefficients of n^{-s} for n = 1..N, as the
+ints or Fractions it was given; integer inputs stay integer throughout.
 Multiplication is Dirichlet convolution truncated to N; division is
 the unique exact inverse when the divisor has a nonzero leading
 coefficient.  Identities involving infinite Euler products are checked
@@ -14,19 +15,22 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .numtheory import _require_positive, divisors
-from .sequences import RationalSequence, Sequence
+from .sequences import Sequence
 
 Rational = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
 class DirichletPoly:
-    """Coefficients of 1^{-s} .. N^{-s}, stored as exact Fractions."""
+    """Coefficients of 1^{-s} .. N^{-s}, each an int or a Fraction."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        for n, c in enumerate(self.coeffs, start=1):
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {n} is not exact: {c!r}")
         if len(self.coeffs) < 1:
             raise ValueError("a Dirichlet polynomial needs at least one coefficient")
 
@@ -37,7 +41,7 @@ class DirichletPoly:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def __getitem__(self, n: int) -> Fraction:
+    def __getitem__(self, n: int) -> Rational:
         """Coefficient of n^{-s} (one-based)."""
         if not 1 <= n <= len(self.coeffs):
             raise IndexError(f"index {n} outside 1..{len(self.coeffs)}")
@@ -47,13 +51,13 @@ class DirichletPoly:
         return iter(self.coeffs)
 
 
-def from_sequence(s: Union[Sequence, RationalSequence]) -> DirichletPoly:
+def from_sequence(s: Sequence) -> DirichletPoly:
     """The series sum s(n) n^{-s}, any view."""
-    return DirichletPoly(tuple(Fraction(t) for t in s.terms))
+    return DirichletPoly(s.terms)
 
 
 def from_coeffs(values: Iterable[Rational]) -> DirichletPoly:
-    return DirichletPoly(tuple(Fraction(v) for v in values))
+    return DirichletPoly(tuple(values))
 
 
 def zeta_shift(a: int, n_terms: int) -> DirichletPoly:
@@ -61,7 +65,7 @@ def zeta_shift(a: int, n_terms: int) -> DirichletPoly:
     _require_positive(n_terms, "n_terms")
     if not isinstance(a, int) or isinstance(a, bool) or a < 0:
         raise ValueError(f"shift must be a nonnegative integer, got {a!r}")
-    return DirichletPoly(tuple(Fraction(n**a) for n in range(1, n_terms + 1)))
+    return DirichletPoly(tuple(n**a for n in range(1, n_terms + 1)))
 
 
 def zeta_poly(n_terms: int) -> DirichletPoly:
@@ -77,7 +81,7 @@ def delta_poly(n_terms: int) -> DirichletPoly:
 def sparse(entries: Iterable[tuple[int, Rational]], n_terms: int) -> DirichletPoly:
     """Polynomial with the given (index, coefficient) entries, rest zero."""
     _require_positive(n_terms, "n_terms")
-    coeffs = [Fraction(0)] * n_terms
+    coeffs: list[Rational] = [0] * n_terms
     seen: set[int] = set()
     for idx, value in entries:
         if not 1 <= idx <= n_terms:
@@ -85,14 +89,14 @@ def sparse(entries: Iterable[tuple[int, Rational]], n_terms: int) -> DirichletPo
         if idx in seen:
             raise ValueError(f"duplicate sparse index {idx}")
         seen.add(idx)
-        coeffs[idx - 1] = Fraction(value)
+        coeffs[idx - 1] = value
     return DirichletPoly(tuple(coeffs))
 
 
 def mul(a: DirichletPoly, b: DirichletPoly) -> DirichletPoly:
     """Dirichlet convolution, truncated to min(|a|, |b|)."""
     n_out = min(len(a), len(b))
-    out = [Fraction(0)] * n_out
+    out: list[Rational] = [0] * n_out
     for d in range(1, n_out + 1):
         ad = a[d]
         if ad == 0:
@@ -105,17 +109,21 @@ def mul(a: DirichletPoly, b: DirichletPoly) -> DirichletPoly:
 
 
 def div(a: DirichletPoly, b: DirichletPoly) -> DirichletPoly:
-    """The unique c with mul(b, c) = a, term by term; needs b(1) != 0."""
-    if b[1] == 0:
+    """The unique c with mul(b, c) = a, term by term; needs b(1) != 0.
+
+    A coefficient is a Fraction only where b(1) does not divide it.
+    """
+    b1 = b[1]
+    if b1 == 0:
         raise ZeroDivisionError("divisor has zero leading coefficient")
     n_out = min(len(a), len(b))
-    out: list[Fraction] = []
+    out: list[Rational] = []
     for n in range(1, n_out + 1):
         acc = a[n]
         for d in divisors(n):
             if d < n:
                 acc -= out[d - 1] * b[n // d]
-        out.append(acc / b[1])
+        out.append(acc // b1 if acc % b1 == 0 else Fraction(acc, b1))
     return DirichletPoly(tuple(out))
 
 
@@ -128,7 +136,7 @@ def dilate(a: DirichletPoly, k: int) -> DirichletPoly:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"dilation power must be an integer >= 1, got {k!r}")
     n_out = len(a)
-    out = [Fraction(0)] * n_out
+    out: list[Rational] = [0] * n_out
     j = 1
     while j**k <= n_out:
         out[j**k - 1] = a[j]

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from typing import Iterator
 
 from .numtheory import divisors
 from .sequences import Sequence, View
@@ -67,42 +68,38 @@ def factor_search(
     u = [0] * (n + 1)
     v = [0] * (n + 1)
     found: list[FactorPair] = []
-    truncated = False
-
-    def extend(m: int) -> bool:
-        """Fill index m onward; returns False once the limit trips."""
-        nonlocal truncated
-        if m > n:
-            if len(found) >= limit:
-                truncated = True
-                return False
-            found.append(
-                FactorPair(
-                    Sequence(View.ORBIT, tuple(u[1:])),
-                    Sequence(View.ORBIT, tuple(v[1:])),
-                )
+    # stack[m - 1] yields the choices of (u(m), v(m)); depth-first, so
+    # indices below m stay fixed while it is live
+    first = target[1]
+    stack = [iter([(d, first // d) for d in divisors(first)])]
+    while stack:
+        m = len(stack)
+        choice = next(stack[-1], None)
+        if choice is None:
+            stack.pop()
+            continue
+        u[m], v[m] = choice
+        if m < n:
+            stack.append(_choices(target, m + 1, u, v, proper, inner))
+            continue
+        if len(found) >= limit:
+            return FactorSearchResult(tuple(found), True)
+        found.append(
+            FactorPair(
+                Sequence(View.ORBIT, tuple(u[1:])), Sequence(View.ORBIT, tuple(v[1:]))
             )
-            return True
-        a = sum(d * u[d] for d in proper[m])
-        b = sum(d * v[d] for d in proper[m])
-        rest = sum(u[d1] * v[d2] * g for d1, d2, g in inner[m])
-        r = target[m] - rest
-        if r < 0:
-            return True
-        x = 0
-        while x * b <= r:
-            y, remainder = divmod(r - x * b, a + m * x)
-            if remainder == 0:
-                u[m], v[m] = x, y
-                alive = extend(m + 1)
-                u[m], v[m] = 0, 0
-                if not alive:
-                    return False
-            x += 1
-        return True
+        )
+    return FactorSearchResult(tuple(found), False)
 
-    for d in divisors(target[1]):
-        u[1], v[1] = d, target[1] // d
-        if not extend(2):
-            break
-    return FactorSearchResult(tuple(found), truncated)
+
+def _choices(target, m, u, v, proper, inner) -> Iterator[tuple[int, int]]:
+    """Each (u(m), v(m)) that meets target(m), by ascending u(m)."""
+    a = sum(d * u[d] for d in proper[m])
+    b = sum(d * v[d] for d in proper[m])
+    r = target[m] - sum(u[d1] * v[d2] * g for d1, d2, g in inner[m])
+    x = 0
+    while x * b <= r:
+        y, remainder = divmod(r - x * b, a + m * x)
+        if remainder == 0:
+            yield x, y
+        x += 1

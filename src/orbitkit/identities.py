@@ -646,14 +646,17 @@ def _mobius_series(n: int) -> Outcome:
 # ---------------------------------------------------------------------------
 
 
+# The partitions route is exponential in n: it checks this many terms.
+PARTITION_TERMS = 12
+
+
 def _three_route_case(o: Sequence) -> Optional[int]:
-    g = transforms.euler(o)
-    via_product = zetaseries.product_formula(o)
-    via_exp = zetaseries.zeta_from_fix(transforms.orbit_to_fix(o))
-    if via_product.coeffs != via_exp.coeffs:
-        return 0
-    expected = [1] + list(g.terms)
-    return _mismatch(expected, via_product.integer_coeffs())
+    g = transforms.euler(o).terms
+    idx = _mismatch((1, *g), zetaseries.product_formula(o).coeffs)
+    if idx is not None:
+        return idx - 1  # position idx of (1, G(1), ...) holds G(idx - 1)
+    m = min(len(g), PARTITION_TERMS)
+    return _mismatch(g[:m], oracle.monoid_by_partitions(o, m))
 
 
 @identity("three-route-monoid", 40, "Euler recurrence, product and exp expansions agree")
@@ -716,7 +719,7 @@ def _golden_monoid(n: int) -> Outcome:
     if idx is not None:
         return _fail(idx, "monoid counts are not Fibonacci(n+1)")
     series = zetaseries.zeta_from_fix(golden_mean(n))
-    idx = _mismatch([1] + expected, series.integer_coeffs())
+    idx = _mismatch([1] + expected, series.coeffs)
     if idx is not None:
         return _fail(idx, "series route disagrees")
     return _OK
@@ -732,7 +735,7 @@ def _full_shift_monoid(n: int) -> Outcome:
         if idx is not None:
             return _fail(idx, f"monoid counts wrong for a={a}")
         series = zetaseries.zeta_from_fix(full_shift(a, n))
-        idx = _mismatch([1] + expected, series.integer_coeffs())
+        idx = _mismatch([1] + expected, series.coeffs)
         if idx is not None:
             return _fail(idx, f"series coefficients wrong for a={a}")
     return _OK
@@ -747,7 +750,7 @@ def _dual_monoid(n: int) -> Outcome:
         if idx is not None:
             return _fail(idx, f"monoid counts wrong for ({a},{b})")
         series = zetaseries.zeta_from_fix(dual_rational(a, b, n))
-        idx = _mismatch([1] + expected, series.integer_coeffs())
+        idx = _mismatch([1] + expected, series.coeffs)
         if idx is not None:
             return _fail(idx, f"series coefficients wrong for ({a},{b})")
     return _OK
@@ -785,7 +788,7 @@ def _s_integer(n: int) -> Outcome:
     if idx is not None:
         return _fail(idx, "monoid prefix wrong")
     series = zetaseries.product_formula(o)
-    idx = _mismatch([1] + list(g.terms), series.integer_coeffs())
+    idx = _mismatch([1] + list(g.terms), series.coeffs)
     if idx is not None:
         return _fail(idx, "product route disagrees with the recurrence")
     return _OK

@@ -10,8 +10,8 @@ the referees for the clever routes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Mapping
+from math import comb, gcd
+from typing import Iterator, Mapping
 
 from .numtheory import _require_positive, divisors, euler_phi, mobius
 from .sequences import Sequence, View
@@ -131,6 +131,40 @@ def simulate_iterate(a: CycleSystem, k: int, n_terms: int) -> Sequence:
             if length <= n_terms:
                 counts[length] += c
     return Sequence(View.ORBIT, tuple(counts[1:]))
+
+
+def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
+    """Partitions of n into parts <= largest, parts non-increasing."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, largest), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first, *rest)
+
+
+def monoid_by_partitions(o: Sequence, order: int) -> Sequence:
+    """Weight-n counts of the orbit monoid for n = 1..order, by counting.
+
+    A weight-n element takes m_i orbits of length i, with repetition,
+    for a partition of n with part multiplicities m_i: that is
+    prod_i C(O(i)+m_i-1, m_i) elements per partition.  Exponential in
+    order, so only for small orders.
+    """
+    o.require_view(View.ORBIT, "oracle.monoid_by_partitions")
+    if not 1 <= order <= len(o):
+        raise ValueError(f"order {order} outside 1..{len(o)}")
+    counts = []
+    for n in range(1, order + 1):
+        total = 0
+        for parts in _partitions(n, n):
+            ways = 1
+            for i in set(parts):
+                m = parts.count(i)
+                ways *= comb(o[i] + m - 1, m)
+            total += ways
+        counts.append(total)
+    return Sequence(View.MONOID, tuple(counts))
 
 
 def cyclic_subgroup_count(n: int) -> int:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Mapping, Union
 
 from .numtheory import PrimeSet, _require_positive, factorize, part
@@ -75,37 +74,6 @@ class Sequence:
             raise ViewError(
                 f"{op} expects a {view.value} sequence, got {self.view.value}"
             )
-
-
-@dataclass(frozen=True)
-class RationalSequence:
-    """One-indexed vector of exact rationals.
-
-    No view tag: this container carries Dirichlet-side data (currently
-    only the a_S weights) and is consumed by the dirichlet module.
-    """
-
-    terms: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "terms", tuple(Fraction(t) for t in self.terms))
-        if len(self.terms) < 1:
-            raise ValueError("a sequence needs at least one term")
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def __getitem__(self, n: int) -> Fraction:
-        if not 1 <= n <= len(self.terms):
-            raise IndexError(f"index {n} outside 1..{len(self.terms)}")
-        return self.terms[n - 1]
-
-    def __iter__(self):
-        return iter(self.terms)
 
 
 def truncate(s: Sequence, m: int) -> Sequence:
@@ -237,22 +205,23 @@ def s_part_seq(primes: PrimeSet, n_terms: int) -> Sequence:
     return Sequence(View.ORBIT, tuple(part(n, primes) for n in range(1, n_terms + 1)))
 
 
-def a_s(primes: PrimeSet, n_terms: int) -> RationalSequence:
+def a_s(primes: PrimeSet, n_terms: int) -> Sequence:
     """Weights a_{S,n} = prod_{p in S} ((p+1) p^{v_p(n)} - 2) / (p - 1).
 
     Primes of S not dividing n contribute a factor of 1, so cofinite
-    sets are fine.  Kept in a rational container even though every
-    factor happens to be integral.
+    sets are fine.  Every factor is a positive integer: p is 1 modulo
+    p - 1, so (p+1) p^a - 2 is 2 - 2 = 0 modulo p - 1.  Tagged ORBIT,
+    like s_part_seq, for the dirichlet module.
     """
     _require_positive(n_terms, "n_terms")
     terms = []
     for n in range(1, n_terms + 1):
-        f = Fraction(1)
+        w = 1
         for p, a in factorize(n).pairs:
             if primes.contains(p):
-                f *= Fraction((p + 1) * p**a - 2, p - 1)
-        terms.append(f)
-    return RationalSequence(tuple(terms))
+                w *= ((p + 1) * p**a - 2) // (p - 1)
+        terms.append(w)
+    return Sequence(View.ORBIT, tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -285,12 +254,8 @@ def builtin_names() -> list[str]:
     return sorted(_CATALOGUE)
 
 
-def builtin(spec: BuiltinSpec, n_terms: int) -> Union[Sequence, RationalSequence]:
-    """Instantiate a catalogue entry to n_terms terms.
-
-    Every entry yields a Sequence except ``a_S``, which yields a
-    RationalSequence.
-    """
+def builtin(spec: BuiltinSpec, n_terms: int) -> Sequence:
+    """Instantiate a catalogue entry to n_terms terms."""
     try:
         wanted, factory = _CATALOGUE[spec.name]
     except KeyError:

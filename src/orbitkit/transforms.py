@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence as Vector
 
 from .numtheory import divisors, mobius
@@ -89,20 +90,28 @@ def realizable_as_fix(s: Sequence) -> Realizability:
     return Realizability(True, None, None)
 
 
+def monoid_counts(fix: Vector[int]) -> list[int]:
+    """Weight counts G(1..N) of the orbit monoid with fixed-point counts fix.
+
+    Runs n*G(n) = F(n) + sum_{k<n} F(k) G(n-k) in ints: the Euler
+    transform, and the coefficients of exp(sum F(n) s^n / n).  Raises at
+    the first n whose G(n) is not a nonnegative integer.
+    """
+    g: list[int] = []
+    for n in range(1, len(fix) + 1):
+        q, r = divmod(fix[n - 1] + sum(map(mul, fix, reversed(g))), n)
+        if r:
+            raise NonIntegralError(n, f"monoid count at n={n} is not integral")
+        if q < 0:
+            raise NegativeError(n, f"monoid count at n={n} is negative")
+        g.append(q)
+    return g
+
+
 def euler(o: Sequence) -> Sequence:
     """Euler transform: weight-n counts of the free abelian orbit monoid."""
     o.require_view(View.ORBIT, "euler")
-    fix = orbit_to_fix(o).terms
-    g: list[int] = []
-    for n in range(1, len(o) + 1):
-        total = fix[n - 1] + sum(fix[k - 1] * g[n - k - 1] for k in range(1, n))
-        q, r = divmod(total, n)
-        if r:
-            raise AssertionError(
-                f"euler recurrence produced a non-integer at n={n}; this is a bug"
-            )
-        g.append(q)
-    return Sequence(View.MONOID, tuple(g))
+    return Sequence(View.MONOID, tuple(monoid_counts(orbit_to_fix(o).terms)))
 
 
 def euler_inverse(g: Sequence) -> Sequence:

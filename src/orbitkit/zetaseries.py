@@ -1,30 +1,29 @@
 """The ordinary-power-series route to the dynamical zeta function.
 
-Two independent ways to expand zeta_T(s) = prod_i (1 - s^i)^{-O(i)}
-= exp(sum_n F(n) s^n / n): multiply the product out factor by factor,
-or exponentiate the logarithmic series.  Coefficient n of either is
-1, G(1), G(2), ... - the Euler transform - which gives the transforms
-module something to be checked against.
+zeta_T(s) = exp(sum_n F(n) s^n / n) = prod_i (1 - s^i)^{-O(i)}; its
+coefficient of s^n is the monoid count G(n), so every coefficient is a
+nonnegative integer.  zeta_from_fix expands the exp through the
+transforms module's integer recurrence; product_formula multiplies the
+product out factor by factor, an independent route to the same numbers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb
 
 from .sequences import Sequence, View
-from .transforms import NegativeError, NonIntegralError
+from .transforms import monoid_counts
 
 
 @dataclass(frozen=True)
 class PowerSeries:
-    """Exact coefficients of s**0 .. s**order."""
+    """Integer coefficients of s**0 .. s**order."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
         if len(self.coeffs) < 1:
             raise ValueError("a power series needs at least the constant term")
 
@@ -32,7 +31,7 @@ class PowerSeries:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def __getitem__(self, i: int) -> Fraction:
+    def __getitem__(self, i: int) -> int:
         """Coefficient of s**i (zero-based)."""
         if not 0 <= i <= self.order:
             raise IndexError(f"power {i} outside 0..{self.order}")
@@ -40,50 +39,6 @@ class PowerSeries:
 
     def __iter__(self):
         return iter(self.coeffs)
-
-    def integer_coeffs(self) -> list[int]:
-        """Coefficients as ints; raises if any denominator is not 1."""
-        out = []
-        for i, c in enumerate(self.coeffs):
-            if c.denominator != 1:
-                raise ValueError(f"coefficient of s**{i} is {c}, not an integer")
-            out.append(c.numerator)
-        return out
-
-
-def mul_series(a: PowerSeries, b: PowerSeries) -> PowerSeries:
-    """Cauchy product truncated to min(a.order, b.order)."""
-    order = min(a.order, b.order)
-    out = [Fraction(0)] * (order + 1)
-    for i in range(order + 1):
-        ai = a[i]
-        if ai == 0:
-            continue
-        for j in range(order + 1 - i):
-            bj = b[j]
-            if bj != 0:
-                out[i + j] += ai * bj
-    return PowerSeries(tuple(out))
-
-
-def exp_series(a: PowerSeries) -> PowerSeries:
-    """exp of a series with zero constant term, to the same order.
-
-    Uses b' = a' b, i.e. n b(n) = sum_{k<=n} k a(k) b(n-k).
-    """
-    if a[0] != 0:
-        raise ValueError(f"exp_series needs zero constant term, got {a[0]}")
-    order = a.order
-    weighted = [k * a[k] for k in range(1, order + 1)]
-    out = [Fraction(1)] + [Fraction(0)] * order
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            w = weighted[k - 1]
-            if w != 0:
-                acc += w * out[n - k]
-        out[n] = acc / n
-    return PowerSeries(tuple(out))
 
 
 def zeta_from_fix(f: Sequence) -> PowerSeries:
@@ -94,21 +49,14 @@ def zeta_from_fix(f: Sequence) -> PowerSeries:
     realizability error is raised with the offending order.
     """
     f.require_view(View.FIX, "zeta_from_fix")
-    log_coeffs = [Fraction(0)] + [Fraction(f[n], n) for n in range(1, len(f) + 1)]
-    series = exp_series(PowerSeries(tuple(log_coeffs)))
-    for i, c in enumerate(series.coeffs):
-        if c.denominator != 1:
-            raise NonIntegralError(i, f"zeta coefficient of s**{i} is {c}")
-        if c < 0:
-            raise NegativeError(i, f"zeta coefficient of s**{i} is {c}")
-    return series
+    return PowerSeries((1, *monoid_counts(f.terms)))
 
 
 def product_formula(o: Sequence) -> PowerSeries:
     """zeta_T as the product prod_i (1 - s^i)^{-O(i)}, to order |o|."""
     o.require_view(View.ORBIT, "product_formula")
     order = len(o)
-    out = [1] + [0] * order  # plain ints; every factor is integral
+    out = [1] + [0] * order
     for i in range(1, order + 1):
         c = o[i]
         if c == 0:
@@ -121,4 +69,4 @@ def product_formula(o: Sequence) -> PowerSeries:
                 if out[q]:
                     new[pos + q] += w * out[q]
         out = new
-    return PowerSeries(tuple(Fraction(x) for x in out))
+    return PowerSeries(tuple(out))

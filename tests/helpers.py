@@ -5,6 +5,7 @@ loops over all pairs instead of divisor tricks, so the library's
 number-theoretic shortcuts are checked against something dumber.
 """
 
+from fractions import Fraction
 from math import gcd
 from random import Random
 
@@ -72,3 +73,55 @@ def iterate_brute(o: Sequence, k: int):
 
 def random_orbit(rng: Random, n: int, max_term: int) -> Sequence:
     return Sequence(View.ORBIT, tuple(rng.randint(0, max_term) for _ in range(n)))
+
+
+def exp_series(a):
+    """exp of a power series with zero constant term, in Fractions.
+
+    Uses b' = a' b, i.e. n b(n) = sum_{k<=n} k a(k) b(n-k): the rational
+    recurrence that zeta_from_fix once ran, kept as its referee.
+    """
+    if a[0] != 0:
+        raise ValueError(f"exp_series needs zero constant term, got {a[0]}")
+    out = [Fraction(1)] + [Fraction(0)] * (len(a) - 1)
+    for n in range(1, len(a)):
+        acc = sum((k * a[k] * out[n - k] for k in range(1, n + 1)), Fraction(0))
+        out[n] = acc / n
+    return out
+
+
+def zeta_from_fix_brute(fix):
+    """Coefficients of exp(sum F(n) s^n / n) as ints, or the (index, kind)
+    of the first one that is not a nonnegative integer."""
+    series = exp_series([0] + [Fraction(f, n) for n, f in enumerate(fix, start=1)])
+    for i, c in enumerate(series):
+        if c.denominator != 1:
+            return i, "nonintegral"
+        if c < 0:
+            return i, "negative"
+    return [int(c) for c in series]
+
+
+def dirichlet_mul_brute(a, b):
+    """Dirichlet convolution over all index pairs (d, e), truncated."""
+    n_out = min(len(a), len(b))
+    out = [0] * n_out
+    for d in range(1, len(a) + 1):
+        for e in range(1, len(b) + 1):
+            if d * e <= n_out:
+                out[d * e - 1] += a[d - 1] * b[e - 1]
+    return out
+
+
+def dirichlet_div_brute(a, b):
+    """The c with b * c = a, solved index by index over all pairs, in Fractions."""
+    n_out = min(len(a), len(b))
+    c = []
+    for n in range(1, n_out + 1):
+        acc = Fraction(a[n - 1])
+        for d in range(1, n):
+            for e in range(2, n + 1):
+                if d * e == n:
+                    acc -= c[d - 1] * b[e - 1]
+        c.append(acc / b[0])
+    return c

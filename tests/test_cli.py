@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -39,12 +40,19 @@ def test_seq_rational_builtin(capsys):
     assert out == "1 1\n2 4\n3 1\n4 10\n"
 
 
-def test_seq_rational_rejects_view(capsys):
-    code, _, err = run_cli(
+def test_seq_a_s_view(capsys):
+    # the a_S weights are orbit-tagged integers, so every view applies
+    code, out, _ = run_cli(
         capsys, "seq", "a_S", "--param", "S=2", "--terms", "4", "--view", "fix"
     )
-    assert code == 2
-    assert "no view" in err
+    assert code == 0
+    assert out == "1 1\n2 9\n3 4\n4 49\n"
+    code, out, _ = run_cli(
+        capsys, "growth", "--name", "a_S", "--param", "S=2", "--h", "1", "--c1", "1",
+        "--terms", "4",
+    )
+    assert code == 0
+    assert "pi_actual 16\n" in out
 
 
 def test_seq_unknown_builtin(capsys):
@@ -248,3 +256,77 @@ def test_usage_error_exit_code(capsys):
     capsys.readouterr()
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_non_ascii_input_is_malformed(capsys, tmp_path, monkeypatch):
+    f = tmp_path / "accent.b"
+    f.write_bytes("1 1\n2 \u00e9\n".encode("utf-8"))
+    code, _, err = run_cli(capsys, "transform", "orbit-to-fix", "--in", str(f))
+    assert code == 3
+    assert "not ASCII" in err
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n2 \u00e9\n"))
+    code, _, _ = run_cli(capsys, "transform", "orbit-to-fix")
+    assert code == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("transform", "orbit-to-fix"),
+    ("transform", "fix-to-orbit"),
+    ("transform", "euler-inv"),
+    ("factor",),
+])
+def test_negative_term_is_malformed(capsys, tmp_path, argv):
+    f = tmp_path / "neg.b"
+    f.write_text("1 1\n2 -1\n", encoding="ascii")
+    code, _, err = run_cli(capsys, *argv, "--in", str(f))
+    assert code == 3
+    assert "negative" in err
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(seq, view):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("orbitkit.cli.convert", broken)
+    code, out, err = run_cli(capsys, "seq", "zeta", "--terms", "3", "--view", "fix")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("internal error:") and "boom" in err
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default int/str digit limit, where the interpreter has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_import_term_with_5001_digits(capsys, tmp_path, default_digit_limit):
+    text = "1 " + "7" * 5001 + "\n"
+    f = tmp_path / "big.b"
+    f.write_text(text, encoding="ascii")
+    code, out, _ = run_cli(capsys, "import", "--in", str(f))
+    assert code == 0
+    assert out == text
+
+
+def test_transform_term_with_5001_digits(capsys, tmp_path, default_digit_limit):
+    f = tmp_path / "big.b"
+    f.write_text("1 2\n2 1" + "0" * 4999 + "3\n", encoding="ascii")  # 10^5000 + 3
+    code, out, _ = run_cli(capsys, "transform", "orbit-to-fix", "--in", str(f))
+    assert code == 0
+    assert out == "1 2\n2 2" + "0" * 4999 + "8\n"
+
+
+def test_factor_deep_input(capsys, tmp_path):
+    # one stack frame per index would pass Python's recursion limit
+    f = tmp_path / "delta.b"
+    f.write_text("1 1\n" + "".join(f"{n} 0\n" for n in range(2, 1501)), encoding="ascii")
+    code, out, _ = run_cli(capsys, "factor", "--in", str(f))
+    assert code == 0
+    assert out.splitlines()[:2] == ["pairs 1", "truncated false"]

@@ -7,6 +7,7 @@ from orbitkit import DirichletPoly, dilate, div, mul, sparse, zeta_poly, zeta_sh
 from orbitkit.dirichlet import delta_poly, from_coeffs, from_sequence
 from orbitkit.sequences import delta, id_orbits, zeta
 from orbitkit import product_orbits
+from helpers import dirichlet_div_brute, dirichlet_mul_brute
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -21,7 +22,15 @@ def test_from_sequence():
     assert from_sequence(zeta(5)).coeffs == (1, 1, 1, 1, 1)
     assert from_sequence(id_orbits(4)).coeffs == (1, 2, 3, 4)
     assert from_sequence(delta(3)).coeffs == (1, 0, 0)
-    assert all(isinstance(c, Fraction) for c in from_sequence(zeta(3)).coeffs)
+    assert all(type(c) is int for c in from_sequence(zeta(3)).coeffs)
+
+
+def test_keeps_the_numbers_it_is_given():
+    p = poly(2, Fraction(1, 2), Fraction(4, 2))
+    assert p.coeffs == (2, Fraction(1, 2), 2)
+    assert type(p[1]) is int and type(p[2]) is Fraction
+    with pytest.raises(TypeError):
+        poly(1, 0.5)
 
 
 def test_one_indexed_getitem():
@@ -77,6 +86,15 @@ def test_div_ttimest_series():
     got = div(num, dilate(zeta_poly(n), 2))
     assert got.coeffs == (1, 4, 5, 10, 7, 20, 9, 22)
     assert got == from_sequence(product_orbits(zeta(n), zeta(n)))
+    assert all(type(c) is int for c in got)
+
+
+def test_div_makes_a_fraction_only_where_needed():
+    got = div(poly(1, 1, 1, 1), poly(2, 0, 0, 1))
+    assert got.coeffs == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
+    got = div(poly(4, 2, 6, 3), poly(2, 0, 0, 0))
+    assert got.coeffs == (2, 1, 3, Fraction(3, 2))
+    assert [type(c) for c in got] == [int, int, int, Fraction]
 
 
 def test_zeta_shift():
@@ -128,3 +146,35 @@ def test_div_inverts_mul(coeffs):
         return
     a = poly(*range(1, len(coeffs) + 1))
     assert div(mul(a, b), b) == a
+
+
+ints = st.integers(min_value=-6, max_value=6)
+
+
+@given(st.lists(ints, min_size=1, max_size=30), st.lists(ints, min_size=1, max_size=30))
+@settings(max_examples=100)
+def test_integer_mul_matches_all_pairs_referee(a_coeffs, b_coeffs):
+    got = mul(from_coeffs(a_coeffs), from_coeffs(b_coeffs))
+    assert list(got) == dirichlet_mul_brute(a_coeffs, b_coeffs)
+    assert all(type(c) is int for c in got)
+
+
+@given(st.lists(ints, min_size=1, max_size=30), st.lists(ints, min_size=1, max_size=30))
+@settings(max_examples=100)
+def test_integer_div_matches_all_pairs_referee(a_coeffs, b_coeffs):
+    if b_coeffs[0] == 0:
+        return
+    got = div(from_coeffs(a_coeffs), from_coeffs(b_coeffs))
+    expected = dirichlet_div_brute(a_coeffs, b_coeffs)
+    assert list(got) == expected
+    # an int exactly where the value is integral
+    assert [type(c) is int for c in got] == [c.denominator == 1 for c in expected]
+
+
+@given(st.lists(rationals, min_size=1, max_size=12), st.lists(rationals, min_size=1, max_size=12))
+@settings(max_examples=40)
+def test_rational_div_matches_all_pairs_referee(a_coeffs, b_coeffs):
+    if b_coeffs[0] == 0:
+        return
+    got = div(from_coeffs(a_coeffs), from_coeffs(b_coeffs))
+    assert list(got) == dirichlet_div_brute(a_coeffs, b_coeffs)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitkit import (
     CycleSystem,
@@ -12,12 +13,13 @@ from orbitkit import (
     iterate_orbits,
     orbit_to_fix,
     primitive_lattice_count,
+    product_formula,
     product_orbits,
     simulate_iterate,
     simulate_product,
 )
-from orbitkit.oracle import to_sequence
-from orbitkit.sequences import zeta
+from orbitkit.oracle import monoid_by_partitions, to_sequence
+from orbitkit.sequences import delta, zeta
 from helpers import random_orbit
 
 from math import gcd
@@ -158,3 +160,19 @@ def test_counts_tie_to_self_product():
             primitive_lattice_count(d) for d in range(1, n + 1) if n % d == 0
         )
         assert divisor_sum == prod[n]
+
+
+def test_monoid_by_partitions_known_counts():
+    # all-ones orbits: the partition numbers; one fixed point: all ones
+    assert monoid_by_partitions(zeta(10), 10).terms == (1, 2, 3, 5, 7, 11, 15, 22, 30, 42)
+    assert monoid_by_partitions(delta(6), 6).terms == (1,) * 6
+    assert monoid_by_partitions(zeta(10), 3).view is View.MONOID
+    with pytest.raises(ValueError):
+        monoid_by_partitions(zeta(4), 5)
+
+
+@given(st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=10))
+@settings(max_examples=60)
+def test_monoid_by_partitions_matches_product_formula(terms):
+    o = Sequence(View.ORBIT, tuple(terms))
+    assert (1, *monoid_by_partitions(o, len(o)).terms) == product_formula(o).coeffs

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from orbitkit import BuiltinSpec, PrimeSet, RationalSequence, Sequence, View, ViewError
+from orbitkit import BuiltinSpec, PrimeSet, Sequence, View, ViewError
 from orbitkit import builtin, builtin_names, truncate
 from orbitkit.sequences import (
     a_s,
@@ -137,7 +137,7 @@ def test_s_part_seq():
 
 def test_a_s_values():
     two = a_s(PrimeSet.finite((2,)), 8)
-    assert isinstance(two, RationalSequence)
+    assert isinstance(two, Sequence) and two.view is View.ORBIT
     assert two.terms == (1, 4, 1, 10, 1, 4, 1, 22)
     both = a_s(PrimeSet.finite((2, 3)), 9)
     assert both.terms == (1, 4, 5, 10, 1, 20, 1, 22, 17)
@@ -146,15 +146,16 @@ def test_a_s_values():
 def test_a_s_always_integral():
     for primes in ((2,), (3,), (2, 3), (5, 7)):
         seq = a_s(PrimeSet.finite(primes), 60)
-        assert all(isinstance(t, Fraction) and t.denominator == 1 for t in seq.terms)
-
-
-def test_rational_sequence_type():
-    r = RationalSequence((Fraction(1, 2), Fraction(3)))
-    assert r[1] == Fraction(1, 2)
-    assert len(r) == 2
-    with pytest.raises(ValueError):
-        RationalSequence(())
+        assert all(type(t) is int for t in seq.terms)
+        for n in range(1, 61):
+            weight = Fraction(1)
+            for p in primes:
+                a, m = 0, n
+                while m % p == 0:
+                    a, m = a + 1, m // p
+                if a:
+                    weight *= Fraction((p + 1) * p**a - 2, p - 1)
+            assert seq[n] == weight
 
 
 class TestBuiltinDispatch:

@@ -5,18 +5,19 @@ from hypothesis import given, settings, strategies as st
 
 from orbitkit import (
     NonIntegralError,
+    NotRealizableError,
     PowerSeries,
     Sequence,
     View,
     ViewError,
     euler,
-    exp_series,
     fix_to_orbit,
     orbit_to_fix,
     product_formula,
     zeta_from_fix,
 )
-from orbitkit.zetaseries import mul_series
+from orbitkit.identities import PARTITION_TERMS
+from orbitkit.oracle import monoid_by_partitions
 from orbitkit.sequences import (
     delta,
     dual_rational,
@@ -25,65 +26,58 @@ from orbitkit.sequences import (
     s_integer_23,
     zeta,
 )
+from helpers import exp_series, zeta_from_fix_brute
 
 
 def test_power_series_basics():
     p = PowerSeries((1, 2, 3))
     assert p.order == 2
     assert p[0] == 1 and p[2] == 3
-    assert p.integer_coeffs() == [1, 2, 3]
+    assert p.coeffs == (1, 2, 3)
     with pytest.raises(ValueError):
         PowerSeries(())
 
 
-def test_integer_coeffs_rejects_fractions():
-    p = PowerSeries((1, Fraction(1, 2)))
-    with pytest.raises(ValueError):
-        p.integer_coeffs()
-
-
-def test_mul_series_truncates():
-    a = PowerSeries((1, 1))
-    b = PowerSeries((1, 2, 3))
-    assert mul_series(a, b).coeffs == (1, 3)
+# exp_series is the Fraction referee in tests/helpers.py
 
 
 def test_exp_of_zero():
-    assert exp_series(PowerSeries((0,))).coeffs == (1,)
+    assert exp_series([0]) == [1]
 
 
 def test_exp_of_s():
-    got = exp_series(PowerSeries((0, 1, 0, 0)))
-    assert got.coeffs == (1, 1, Fraction(1, 2), Fraction(1, 6))
+    got = exp_series([0, 1, 0, 0])
+    assert got == [1, 1, Fraction(1, 2), Fraction(1, 6)]
 
 
 def test_exp_requires_zero_constant_term():
     with pytest.raises(ValueError):
-        exp_series(PowerSeries((1, 1)))
+        exp_series([1, 1])
 
 
 def test_exp_geometric_log():
     # exp(sum 2^n s^n / n) = 1/(1 - 2s)
-    a = PowerSeries(tuple(Fraction(2**n, n) if n else 0 for n in range(5)))
-    assert exp_series(a).coeffs == (1, 2, 4, 8, 16)
+    a = [Fraction(2**n, n) if n else 0 for n in range(5)]
+    assert exp_series(a) == [1, 2, 4, 8, 16]
 
 
 def test_zeta_from_fix_golden_mean():
     got = zeta_from_fix(golden_mean(6))
-    assert got.integer_coeffs() == [1, 1, 2, 3, 5, 8, 13]
+    assert got.coeffs == (1, 1, 2, 3, 5, 8, 13)
+    assert all(type(c) is int for c in got)
 
 
 def test_zeta_from_fix_dual_rational():
     got = zeta_from_fix(dual_rational(2, 3, 5))
-    assert got.integer_coeffs() == [1, 1, 3, 9, 27, 81]
+    assert got.coeffs == (1, 1, 3, 9, 27, 81)
 
 
 def test_zeta_from_fix_full_shift():
     # 1/(1 - 2s): the monoid count G(n) = 2^n, forced by the Euler
     # recurrence n G(n) = F(n) + sum F(k) G(n-k)
     got = zeta_from_fix(full_shift(2, 5))
-    assert got.integer_coeffs() == [1, 2, 4, 8, 16, 32]
-    assert got.integer_coeffs()[1:] == list(euler(fix_to_orbit(full_shift(2, 5))))
+    assert got.coeffs == (1, 2, 4, 8, 16, 32)
+    assert got.coeffs[1:] == euler(fix_to_orbit(full_shift(2, 5))).terms
 
 
 def test_zeta_from_fix_view_check():
@@ -99,11 +93,12 @@ def test_zeta_from_fix_rejects_unrealizable():
 
 def test_product_formula_partitions():
     got = product_formula(zeta(6))
-    assert got.integer_coeffs() == [1, 1, 2, 3, 5, 7, 11]
+    assert got.coeffs == (1, 1, 2, 3, 5, 7, 11)
+    assert all(type(c) is int for c in got)
 
 
 def test_product_formula_delta():
-    assert product_formula(delta(4)).integer_coeffs() == [1, 1, 1, 1, 1]
+    assert product_formula(delta(4)).coeffs == (1, 1, 1, 1, 1)
 
 
 def test_product_formula_view_check():
@@ -114,10 +109,10 @@ def test_product_formula_view_check():
 def test_s_integer_ninth_term():
     # both series routes agree that the ninth monoid count is 122
     o = fix_to_orbit(s_integer_23(10))
-    via_product = product_formula(o).integer_coeffs()
-    via_exp = zeta_from_fix(s_integer_23(10)).integer_coeffs()
+    via_product = product_formula(o).coeffs
+    via_exp = zeta_from_fix(s_integer_23(10)).coeffs
     assert via_product == via_exp
-    assert via_product[1:9] == [1, 1, 3, 4, 10, 13, 33, 56]
+    assert via_product[1:9] == (1, 1, 3, 4, 10, 13, 33, 56)
     assert via_product[9] == 122
 
 
@@ -125,7 +120,38 @@ def test_s_integer_ninth_term():
 @settings(max_examples=60)
 def test_three_routes_agree(terms):
     o = Sequence(View.ORBIT, tuple(terms))
-    g = euler(o)
-    series = product_formula(o)
-    assert series.coeffs == zeta_from_fix(orbit_to_fix(o)).coeffs
-    assert series.integer_coeffs() == [1] + list(g)
+    g = euler(o).terms
+    assert product_formula(o).coeffs == (1, *g)
+    m = min(len(g), PARTITION_TERMS)
+    assert monoid_by_partitions(o, m).terms == g[:m]
+
+
+fix_data = st.one_of(
+    # arbitrary data: mostly not realizable, failing at varied orders
+    st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=16),
+    # realizable data, then possibly one term nudged
+    st.builds(
+        lambda orbits, at, bump: [
+            f + (bump if n == at else 0)
+            for n, f in enumerate(orbit_to_fix(Sequence(View.ORBIT, tuple(orbits))), 1)
+        ],
+        st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=16),
+        st.integers(min_value=1, max_value=16),
+        st.integers(min_value=0, max_value=3),
+    ),
+)
+
+
+@given(fix_data)
+@settings(max_examples=200)
+def test_zeta_from_fix_matches_fraction_referee(fix):
+    expected = zeta_from_fix_brute(fix)
+    f = Sequence(View.FIX, tuple(fix))
+    if isinstance(expected, tuple):
+        with pytest.raises(NotRealizableError) as err:
+            zeta_from_fix(f)
+        assert (err.value.index, err.value.kind) == expected
+    else:
+        got = zeta_from_fix(f)
+        assert got.coeffs == tuple(expected)
+        assert all(type(c) is int for c in got)
