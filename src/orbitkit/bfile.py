@@ -8,8 +8,12 @@ of a canonical file is byte-identical.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterable
+
+
+_FIELD = re.compile(r"-?[0-9]+")
 
 
 class BFileFormatError(ValueError):
@@ -34,10 +38,9 @@ def parse_bfile(text: str) -> BFile:
         pieces = line.split()
         if len(pieces) != 2:
             raise BFileFormatError(f"line {lineno}: expected 'index value', got {raw!r}")
-        try:
-            idx, val = int(pieces[0]), int(pieces[1])
-        except ValueError:
-            raise BFileFormatError(f"line {lineno}: non-integer field in {raw!r}") from None
+        if not all(map(_FIELD.fullmatch, pieces)):
+            raise BFileFormatError(f"line {lineno}: non-integer field in {raw!r}")
+        idx, val = int(pieces[0]), int(pieces[1])
         if entries and idx != entries[-1][0] + 1:
             raise BFileFormatError(
                 f"line {lineno}: index {idx} is not contiguous with {entries[-1][0]}"

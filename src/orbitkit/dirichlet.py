@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
-from .numtheory import _require_positive, divisors
+from .numtheory import _require_positive
 from .sequences import Sequence
 
 Rational = Union[int, Fraction]
@@ -97,33 +97,32 @@ def mul(a: DirichletPoly, b: DirichletPoly) -> DirichletPoly:
     """Dirichlet convolution, truncated to min(|a|, |b|)."""
     n_out = min(len(a), len(b))
     out: list[Rational] = [0] * n_out
-    for d in range(1, n_out + 1):
-        ad = a[d]
-        if ad == 0:
-            continue
-        for e in range(1, n_out // d + 1):
-            be = b[e]
-            if be != 0:
-                out[d * e - 1] += ad * be
+    for d, ad in enumerate(a.coeffs[:n_out], start=1):
+        if ad != 0:
+            for i, be in zip(range(d - 1, n_out, d), b.coeffs):
+                if be != 0:
+                    out[i] += ad * be
     return DirichletPoly(tuple(out))
 
 
 def div(a: DirichletPoly, b: DirichletPoly) -> DirichletPoly:
     """The unique c with mul(b, c) = a, term by term; needs b(1) != 0.
 
-    A coefficient is a Fraction only where b(1) does not divide it.
+    c(d) is final once each proper divisor of d has pushed its term
+    forward; it is a Fraction only where b(1) does not divide it.
     """
     b1 = b[1]
     if b1 == 0:
         raise ZeroDivisionError("divisor has zero leading coefficient")
     n_out = min(len(a), len(b))
-    out: list[Rational] = []
-    for n in range(1, n_out + 1):
-        acc = a[n]
-        for d in divisors(n):
-            if d < n:
-                acc -= out[d - 1] * b[n // d]
-        out.append(acc // b1 if acc % b1 == 0 else Fraction(acc, b1))
+    out: list[Rational] = list(a.coeffs[:n_out])
+    b_rest = b.coeffs[1:]
+    for d in range(1, n_out + 1):
+        acc = out[d - 1]
+        c = out[d - 1] = acc // b1 if acc % b1 == 0 else Fraction(acc, b1)
+        if c != 0:
+            for i, be in zip(range(2 * d - 1, n_out, d), b_rest):
+                out[i] -= c * be
     return DirichletPoly(tuple(out))
 
 

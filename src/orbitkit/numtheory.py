@@ -1,8 +1,8 @@
 """Exact elementary number theory used throughout the library.
 
-Plain trial division everywhere: callers only ever ask about n up to a
-few thousand, so sieves and probabilistic primality tests are
-deliberately out of scope.  Everything returns exact ints.
+Plain trial division: whole-vector divisor sums run as harmonic loops in
+dirichlet, so these per-n calls serve only identities, referees and the
+factor search, and sieves are out of scope.  Everything is exact ints.
 """
 
 from __future__ import annotations

@@ -1,42 +1,24 @@
 """Operators combining systems: product, disjoint union, iteration.
 
-Orbit counts compose by the gcd-weighted lcm convolution
-O_{TxS}(n) = sum_{lcm(d1,d2)=n} O_T(d1) O_S(d2) gcd(d1,d2); fixed
-points compose pointwise.  Iteration acts on fixed points by dilation
-F_{T^k}(n) = F_T(kn), and on orbit counts by the divisor sum over the
-part of k supported on primes missing from n.
+Fixed points of a product compose pointwise, so the orbit product runs
+orbit -> fix -> pointwise product -> orbit; the paper's gcd-weighted lcm
+sum is its referee in the oracle.  Iteration acts on fixed points by
+dilation F_{T^k}(n) = F_T(kn), and on orbit counts by the divisor sum
+over the part of k supported on primes missing from n.
 """
 
 from __future__ import annotations
 
-from math import gcd
-
 from .numtheory import divisors, factorize
 from .sequences import Sequence, View
+from .transforms import fix_to_orbit, orbit_to_fix
 
 
 def product_orbits(u: Sequence, v: Sequence) -> Sequence:
     """Orbit counts of the Cartesian product, to length min(|u|, |v|)."""
     u.require_view(View.ORBIT, "product_orbits")
     v.require_view(View.ORBIT, "product_orbits")
-    n_out = min(len(u), len(v))
-    terms = []
-    for n in range(1, n_out + 1):
-        divs = divisors(n)
-        total = 0
-        for d1 in divs:
-            a = u[d1]
-            if a == 0:
-                continue
-            for d2 in divs:
-                b = v[d2]
-                if b == 0:
-                    continue
-                g = gcd(d1, d2)
-                if d1 * d2 == n * g:  # lcm(d1, d2) == n
-                    total += a * b * g
-        terms.append(total)
-    return Sequence(View.ORBIT, tuple(terms))
+    return fix_to_orbit(product_fix(orbit_to_fix(u), orbit_to_fix(v)))
 
 
 def union_orbits(u: Sequence, v: Sequence) -> Sequence:

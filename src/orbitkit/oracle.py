@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive.  An orbit sequence is realized
 as a multiset of cycles; products and iterates are then computed by
-tracing points one step at a time, never through the gcd/lcm algebra
-that the operators module uses.  Slow and dumb on purpose: these are
-the referees for the clever routes.
+tracing points one step at a time; the paper's gcd/lcm product sum
+referees the fixed-point route of the operators module.  Slow and dumb
+on purpose: these are the referees for the clever routes.
 """
 
 from __future__ import annotations
@@ -64,6 +64,25 @@ def count_fixed(system: CycleSystem, n: int) -> int:
     if not 1 <= n <= system.horizon:
         raise ValueError(f"n={n} exceeds the realized horizon {system.horizon}")
     return sum(d * system.cycles.get(d, 0) for d in divisors(n))
+
+
+def product_by_lcm(u: Sequence, v: Sequence) -> Sequence:
+    """Orbit counts of the product by the paper's formula, to min(|u|, |v|):
+    O(n) = sum over lcm(d1, d2) = n of u(d1) v(d2) gcd(d1, d2)."""
+    u.require_view(View.ORBIT, "oracle.product_by_lcm")
+    v.require_view(View.ORBIT, "oracle.product_by_lcm")
+    n_out = min(len(u), len(v))
+    terms = []
+    for n in range(1, n_out + 1):
+        divs = divisors(n)
+        total = 0
+        for d1 in divs:
+            for d2 in divs:
+                g = gcd(d1, d2)
+                if d1 * d2 == n * g:  # lcm(d1, d2) == n
+                    total += u[d1] * v[d2] * g
+        terms.append(total)
+    return Sequence(View.ORBIT, tuple(terms))
 
 
 def simulate_product(a: CycleSystem, b: CycleSystem, n_terms: int) -> Sequence:

@@ -1,8 +1,9 @@
 """Transforms between the three views of one system's counting data.
 
-fix <-> orbit is Moebius inversion against the divisor sum
-F(n) = sum_{d|n} d * O(d); orbit <-> monoid is the Euler transform,
-computed through the recurrence n*G(n) = F(n) + sum_{k<n} F(k) G(n-k).
+orbit -> fix is the divisor sum F(n) = sum_{d|n} d * O(d): the series
+n*O(n) times zeta, by dirichlet.mul.  fix -> orbit is its Moebius
+inversion: dirichlet.div by zeta.  orbit <-> monoid is the Euler
+transform, computed through n*G(n) = F(n) + sum_{k<n} F(k) G(n-k).
 All arithmetic is exact; failures of integrality or positivity are how
 non-realizable inputs announce themselves.
 """
@@ -14,7 +15,7 @@ from math import gcd
 from operator import mul
 from typing import Optional, Sequence as Vector
 
-from .numtheory import divisors, mobius
+from . import dirichlet
 from .sequences import Sequence, View
 
 
@@ -53,17 +54,18 @@ class Realizability:
 
 
 def orbit_to_fix(o: Sequence) -> Sequence:
-    """F(n) = sum_{d|n} d * O(d)."""
+    """F(n) = sum_{d|n} d * O(d): the series n*O(n) times zeta."""
     o.require_view(View.ORBIT, "orbit_to_fix")
-    terms = tuple(sum(d * o[d] for d in divisors(n)) for n in range(1, len(o) + 1))
-    return Sequence(View.FIX, terms)
+    n_o = dirichlet.from_coeffs(map(mul, range(1, len(o) + 1), o.terms))
+    return Sequence(View.FIX, dirichlet.mul(n_o, dirichlet.zeta_poly(len(o))).coeffs)
 
 
 def _invert_fix_terms(terms: Vector[int]) -> list[int]:
-    """Moebius inversion O(n) = (1/n) sum_{d|n} mu(n/d) F(d), exactly."""
+    """O(n) = (1/n) sum_{d|n} mu(n/d) F(d), exactly: F divided by zeta."""
+    zeta = dirichlet.zeta_poly(len(terms))
+    totals = dirichlet.div(dirichlet.from_coeffs(terms), zeta)
     out: list[int] = []
-    for n in range(1, len(terms) + 1):
-        total = sum(mobius(n // d) * terms[d - 1] for d in divisors(n))
+    for n, total in enumerate(totals, start=1):
         q, r = divmod(total, n)
         if r:
             raise NonIntegralError(n)

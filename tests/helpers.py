@@ -45,6 +45,20 @@ def fix_from_orbit_brute(o: Sequence):
     ]
 
 
+def invert_fix_brute(fix):
+    """Orbit counts O(n) = (1/n) sum_{d|n} mu(n/d) F(d), one n at a time, or
+    the (index, kind) of the first that is not a nonnegative integer."""
+    out = []
+    for n in range(1, len(fix) + 1):
+        total = sum(mobius_brute(n // d) * fix[d - 1] for d in divisors_brute(n))
+        if total % n:
+            return n, "nonintegral"
+        if total < 0:
+            return n, "negative"
+        out.append(total // n)
+    return out
+
+
 def product_brute(u: Sequence, v: Sequence):
     """Orbit counts of the product, straight from the lcm double sum."""
     n_out = min(len(u), len(v))

@@ -45,6 +45,10 @@ def test_parse_rejects_bad_fields():
         parse_bfile("1 5 6\n")
     with pytest.raises(BFileFormatError):
         parse_bfile("1\n")
+    # int() spellings that are not b-file digits
+    for text in ("1 1_000\n", "3 +4\n", "2 \u0663\n", "+1 5\n", "1 -\n", "1 5.0\n"):
+        with pytest.raises(BFileFormatError, match="non-integer field"):
+            parse_bfile(text)
 
 
 def test_parse_rejects_empty():

@@ -269,6 +269,15 @@ def test_non_ascii_input_is_malformed(capsys, tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("text", ["1 1_000\n", "1 1\n2 +4\n", "1 1\n2 \u0663\n"])
+def test_import_rejects_non_canonical_fields(capsys, monkeypatch, text):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "import")
+    assert code == 3
+    assert out == ""
+    assert "non-integer field" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("transform", "orbit-to-fix"),
     ("transform", "fix-to-orbit"),

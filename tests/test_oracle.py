@@ -18,9 +18,9 @@ from orbitkit import (
     simulate_iterate,
     simulate_product,
 )
-from orbitkit.oracle import monoid_by_partitions, to_sequence
+from orbitkit.oracle import monoid_by_partitions, product_by_lcm, to_sequence
 from orbitkit.sequences import delta, zeta
-from helpers import random_orbit
+from helpers import product_brute, random_orbit
 
 from math import gcd
 
@@ -85,6 +85,17 @@ def test_simulate_product_random():
         u = random_orbit(rng, 10, 3)
         v = random_orbit(rng, 10, 3)
         assert simulate_product(build(u), build(v), 10) == product_orbits(u, v)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=40),
+    st.lists(st.integers(min_value=0, max_value=5), min_size=1, max_size=40),
+)
+@settings(max_examples=60)
+def test_product_by_lcm_matches_brute(u_terms, v_terms):
+    u = Sequence(View.ORBIT, tuple(u_terms))
+    v = Sequence(View.ORBIT, tuple(v_terms))
+    assert list(product_by_lcm(u, v)) == product_brute(u, v)
 
 
 def test_simulate_iterate_small():

@@ -17,9 +17,24 @@ from orbitkit import (
     realizable_as_fix,
 )
 from orbitkit.sequences import geometric, golden_mean, id_orbits, zeta
-from helpers import fix_from_orbit_brute, random_orbit
+from helpers import fix_from_orbit_brute, invert_fix_brute, random_orbit
 
 orbit_terms = st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=64)
+
+
+@st.composite
+def fix_data(draw):
+    """Nonnegative data, mostly not realizable: raw random terms, or true fix
+    counts with one term nudged, so the first failure can sit deep."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(min_value=0, max_value=50), min_size=2, max_size=40))
+    fix = fix_from_orbit_brute(Sequence(View.ORBIT, tuple(draw(orbit_terms))))
+    i = len(fix) - 1 - draw(st.integers(min_value=0, max_value=len(fix) - 1))
+    if draw(st.booleans()):
+        fix[i] += draw(st.integers(min_value=1, max_value=i + 1))
+    else:  # a multiple of i + 1: integral, but may leave O(i + 1) negative
+        fix[i] = max(0, fix[i] - (i + 1) * draw(st.integers(min_value=1, max_value=3)))
+    return fix
 
 
 def test_orbit_to_fix_id():
@@ -47,6 +62,22 @@ def test_moebius_roundtrip(terms):
     f = orbit_to_fix(o)
     assert list(f) == fix_from_orbit_brute(o)
     assert fix_to_orbit(f) == o
+
+
+@given(fix_data())
+@settings(max_examples=200)
+def test_invert_fix_matches_brute(terms):
+    f = Sequence(View.FIX, tuple(terms))
+    expected = invert_fix_brute(terms)
+    report = realizable_as_fix(f)
+    if isinstance(expected, list):
+        assert report.ok
+        assert list(fix_to_orbit(f)) == expected
+    else:
+        assert (report.ok, report.index, report.kind) == (False, *expected)
+        with pytest.raises(NotRealizableError) as err:
+            fix_to_orbit(f)
+        assert (err.value.index, err.value.kind) == expected
 
 
 def test_fix_to_orbit_nonintegral():
