@@ -72,7 +72,7 @@ from .transforms import (
     orbit_to_fix,
     realizable_as_fix,
 )
-from .zetaseries import PowerSeries, product_formula, zeta_from_fix
+from .zetaseries import product_formula, zeta_from_fix
 
 __version__ = "0.1.0"
 
@@ -91,7 +91,6 @@ __all__ = [
     "NegativeError",
     "NonIntegralError",
     "NotRealizableError",
-    "PowerSeries",
     "PrimeSet",
     "Realizability",
     "Sequence",

@@ -112,24 +112,16 @@ def _cmd_seq(args) -> int:
 
 
 _TRANSFORMS = {
-    "fix-to-orbit": (View.FIX, "fix_to_orbit"),
-    "orbit-to-fix": (View.ORBIT, "orbit_to_fix"),
-    "euler": (View.ORBIT, "euler"),
-    "euler-inv": (View.MONOID, "euler_inverse"),
-}
-
-_TRANSFORM_TARGET = {
-    "fix-to-orbit": View.ORBIT,
-    "orbit-to-fix": View.FIX,
-    "euler": View.MONOID,
-    "euler-inv": View.ORBIT,
+    "fix-to-orbit": (View.FIX, View.ORBIT),
+    "orbit-to-fix": (View.ORBIT, View.FIX),
+    "euler": (View.ORBIT, View.MONOID),
+    "euler-inv": (View.MONOID, View.ORBIT),
 }
 
 
 def _cmd_transform(args) -> int:
-    in_view = _TRANSFORMS[args.kind][0]
-    seq = _read_sequence(args.infile, in_view)
-    result = convert(seq, _TRANSFORM_TARGET[args.kind])
+    in_view, out_view = _TRANSFORMS[args.kind]
+    result = convert(_read_sequence(args.infile, in_view), out_view)
     sys.stdout.write(format_bfile(result.terms))
     return 0
 
@@ -320,10 +312,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NotRealizableError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

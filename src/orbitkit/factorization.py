@@ -1,25 +1,23 @@
 """Search for factorizations of an orbit sequence as a product.
 
 Given a target T, find all pairs (u, v) of nonnegative orbit sequences
-with product_orbits(u, v) = T up to length N.  At index n the product
-constraint is linear in the two unknowns u(n), v(n) once earlier values
-are fixed, which keeps the backtracking narrow:
+with product_orbits(u, v) = T up to length N.  Fixed points of a
+product multiply, so once earlier values are fixed the constraint at
+index n is one factorization of the target's fixed-point count:
 
-    T(n) - C = u(n) * B + v(n) * A + n * u(n) * v(n)
+    F_T(n) = (A + n * u(n)) * (B + n * v(n))
 
-with A, B the partial fixed-point sums of u, v at n and C the portion
-from strictly smaller indices.  Since A, B >= u(1), v(1) >= 1, each
-candidate u(n) is bounded and determines at most one v(n).
+with A, B the fixed-point sums of u, v over the proper divisors of n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterator
 
 from .numtheory import divisors
 from .sequences import Sequence, View
+from .transforms import orbit_to_fix
 
 
 @dataclass(frozen=True)
@@ -52,26 +50,14 @@ def factor_search(
     if target[1] < 1:
         raise ValueError("target(1) must be >= 1 for any factorization to exist")
 
-    # (d1, d2, gcd) with lcm(d1, d2) = m and both entries below m
-    inner: dict[int, list[tuple[int, int, int]]] = {}
-    proper: dict[int, list[int]] = {}
-    for m in range(2, n + 1):
-        divs = divisors(m)
-        proper[m] = divs[:-1]
-        inner[m] = [
-            (d1, d2, gcd(d1, d2))
-            for d1 in divs[:-1]
-            for d2 in divs[:-1]
-            if d1 * d2 == m * gcd(d1, d2)
-        ]
-
+    fix = orbit_to_fix(target).terms
+    proper = [divisors(m)[:-1] for m in range(1, n + 1)]
     u = [0] * (n + 1)
     v = [0] * (n + 1)
     found: list[FactorPair] = []
     # stack[m - 1] yields the choices of (u(m), v(m)); depth-first, so
     # indices below m stay fixed while it is live
-    first = target[1]
-    stack = [iter([(d, first // d) for d in divisors(first)])]
+    stack = [_choices(fix, 1, u, v, proper)]
     while stack:
         m = len(stack)
         choice = next(stack[-1], None)
@@ -80,7 +66,7 @@ def factor_search(
             continue
         u[m], v[m] = choice
         if m < n:
-            stack.append(_choices(target, m + 1, u, v, proper, inner))
+            stack.append(_choices(fix, m + 1, u, v, proper))
             continue
         if len(found) >= limit:
             return FactorSearchResult(tuple(found), True)
@@ -92,14 +78,14 @@ def factor_search(
     return FactorSearchResult(tuple(found), False)
 
 
-def _choices(target, m, u, v, proper, inner) -> Iterator[tuple[int, int]]:
-    """Each (u(m), v(m)) that meets target(m), by ascending u(m)."""
-    a = sum(d * u[d] for d in proper[m])
-    b = sum(d * v[d] for d in proper[m])
-    r = target[m] - sum(u[d1] * v[d2] * g for d1, d2, g in inner[m])
-    x = 0
-    while x * b <= r:
-        y, remainder = divmod(r - x * b, a + m * x)
-        if remainder == 0:
-            yield x, y
-        x += 1
+def _choices(fix, m, u, v, proper) -> Iterator[tuple[int, int]]:
+    """Each (u(m), v(m)) that meets fix(m), by ascending u(m)."""
+    f = fix[m - 1]
+    a = sum(d * u[d] for d in proper[m - 1])
+    b = sum(d * v[d] for d in proper[m - 1])
+    # f >= T(1) >= 1 makes both factors positive: F_u(m) starts at the first
+    # positive A + m*x (A = B = 0 only at m = 1), and F_v(m) >= max(B, 1)
+    for fu in range(a or m, f // max(b, 1) + 1, m):
+        fv, remainder = divmod(f, fu)
+        if remainder == 0 and (fv - b) % m == 0:
+            yield (fu - a) // m, (fv - b) // m

@@ -647,12 +647,12 @@ PARTITION_TERMS = 12
 
 
 def _three_route_case(o: Sequence) -> Optional[int]:
-    g = transforms.euler(o).terms
-    idx = _mismatch((1, *g), zetaseries.product_formula(o).coeffs)
+    g = transforms.euler(o)
+    idx = _mismatch(g, zetaseries.product_formula(o))
     if idx is not None:
-        return idx - 1  # position idx of (1, G(1), ...) holds G(idx - 1)
+        return idx
     m = min(len(g), PARTITION_TERMS)
-    return _mismatch(g[:m], oracle.monoid_by_partitions(o, m))
+    return _mismatch(g.terms[:m], oracle.monoid_by_partitions(o, m))
 
 
 @identity("three-route-monoid", 40, "Euler recurrence, product and exp expansions agree")
@@ -714,8 +714,7 @@ def _golden_monoid(n: int) -> Outcome:
     idx = _mismatch(expected, g)
     if idx is not None:
         return _fail(idx, "monoid counts are not Fibonacci(n+1)")
-    series = zetaseries.zeta_from_fix(golden_mean(n))
-    idx = _mismatch([1] + expected, series.coeffs)
+    idx = _mismatch(expected, zetaseries.zeta_from_fix(golden_mean(n)))
     if idx is not None:
         return _fail(idx, "series route disagrees")
     return _OK
@@ -730,8 +729,7 @@ def _full_shift_monoid(n: int) -> Outcome:
         idx = _mismatch(expected, g)
         if idx is not None:
             return _fail(idx, f"monoid counts wrong for a={a}")
-        series = zetaseries.zeta_from_fix(full_shift(a, n))
-        idx = _mismatch([1] + expected, series.coeffs)
+        idx = _mismatch(expected, zetaseries.zeta_from_fix(full_shift(a, n)))
         if idx is not None:
             return _fail(idx, f"series coefficients wrong for a={a}")
     return _OK
@@ -745,8 +743,7 @@ def _dual_monoid(n: int) -> Outcome:
         idx = _mismatch(expected, g)
         if idx is not None:
             return _fail(idx, f"monoid counts wrong for ({a},{b})")
-        series = zetaseries.zeta_from_fix(dual_rational(a, b, n))
-        idx = _mismatch([1] + expected, series.coeffs)
+        idx = _mismatch(expected, zetaseries.zeta_from_fix(dual_rational(a, b, n)))
         if idx is not None:
             return _fail(idx, f"series coefficients wrong for ({a},{b})")
     return _OK
@@ -783,8 +780,7 @@ def _s_integer(n: int) -> Outcome:
     idx = _mismatch(monoid_prefix, g.terms[:8])
     if idx is not None:
         return _fail(idx, "monoid prefix wrong")
-    series = zetaseries.product_formula(o)
-    idx = _mismatch([1] + list(g.terms), series.coeffs)
+    idx = _mismatch(g, zetaseries.product_formula(o))
     if idx is not None:
         return _fail(idx, "product route disagrees with the recurrence")
     return _OK

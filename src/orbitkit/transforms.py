@@ -124,9 +124,10 @@ def euler_inverse(g: Sequence) -> Sequence:
     any nonnegative orbit sequence.
     """
     g.require_view(View.MONOID, "euler_inverse")
+    terms = g.terms
     fix: list[int] = []
-    for n in range(1, len(g) + 1):
-        value = n * g[n] - sum(fix[k - 1] * g[n - k] for k in range(1, n))
+    for n in range(1, len(terms) + 1):
+        value = n * terms[n - 1] - sum(map(mul, fix, reversed(terms[: n - 1])))
         if value < 0:
             raise NegativeError(n, f"recovered fix count at n={n} is negative")
         fix.append(value)

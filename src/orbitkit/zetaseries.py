@@ -1,59 +1,35 @@
 """The ordinary-power-series route to the dynamical zeta function.
 
-zeta_T(s) = exp(sum_n F(n) s^n / n) = prod_i (1 - s^i)^{-O(i)}; its
-coefficient of s^n is the monoid count G(n), so every coefficient is a
-nonnegative integer.  zeta_from_fix expands the exp through the
-transforms module's integer recurrence; product_formula multiplies the
-product out factor by factor, an independent route to the same numbers.
+zeta_T(s) = exp(sum_n F(n) s^n / n) = prod_i (1 - s^i)^{-O(i)}
+= 1 + sum_n G(n) s^n, where G(n) is the orbit monoid's weight-n count.
+Both functions return G(1..N) as a MONOID Sequence, the constant 1
+left implicit.  zeta_from_fix expands the exp through the transforms
+module's integer recurrence; product_formula multiplies the product out
+factor by factor, an independent route to the same numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 from .sequences import Sequence, View
 from .transforms import monoid_counts
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Integer coefficients of s**0 .. s**order."""
+def zeta_from_fix(f: Sequence) -> Sequence:
+    """Coefficients G(1..|f|) of exp(sum F(n) s^n / n).
 
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) < 1:
-            raise ValueError("a power series needs at least the constant term")
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __getitem__(self, i: int) -> int:
-        """Coefficient of s**i (zero-based)."""
-        if not 0 <= i <= self.order:
-            raise IndexError(f"power {i} outside 0..{self.order}")
-        return self.coeffs[i]
-
-    def __iter__(self):
-        return iter(self.coeffs)
-
-
-def zeta_from_fix(f: Sequence) -> PowerSeries:
-    """zeta_T as exp(sum F(n) s^n / n), to order |f|.
-
-    The result must have nonnegative integer coefficients; if not, f
-    was not the fixed-point data of any map and the corresponding
-    realizability error is raised with the offending order.
+    Raises the realizability error at the first n whose G(n) is not a
+    nonnegative integer.  That is all it checks: F = (2, 0) gives
+    G = (2, 2), although its orbit count at n = 2 is negative, so no
+    map has those fixed-point counts (see realizable_as_fix).
     """
     f.require_view(View.FIX, "zeta_from_fix")
-    return PowerSeries((1, *monoid_counts(f.terms)))
+    return Sequence(View.MONOID, monoid_counts(f.terms))
 
 
-def product_formula(o: Sequence) -> PowerSeries:
-    """zeta_T as the product prod_i (1 - s^i)^{-O(i)}, to order |o|."""
+def product_formula(o: Sequence) -> Sequence:
+    """Coefficients G(1..|o|) of prod_i (1 - s^i)^{-O(i)}."""
     o.require_view(View.ORBIT, "product_formula")
     order = len(o)
     out = [1] + [0] * order
@@ -69,4 +45,4 @@ def product_formula(o: Sequence) -> PowerSeries:
                 if out[q]:
                     new[pos + q] += w * out[q]
         out = new
-    return PowerSeries(tuple(out))
+    return Sequence(View.MONOID, out[1:])

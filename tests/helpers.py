@@ -59,6 +59,21 @@ def invert_fix_brute(fix):
     return out
 
 
+def euler_inverse_brute(g):
+    """Orbit counts whose Euler transform is g: fix counts from
+    n g(n) = F(n) + sum_{k<n} F(k) g(n-k), one index at a time, then
+    invert_fix_brute; or the (index, kind) of the first failure."""
+    fix = []
+    for n in range(1, len(g) + 1):
+        value = n * g[n - 1]
+        for k in range(1, n):
+            value -= fix[k - 1] * g[n - k - 1]
+        if value < 0:
+            return n, "negative"
+        fix.append(value)
+    return invert_fix_brute(fix)
+
+
 def product_brute(u: Sequence, v: Sequence):
     """Orbit counts of the product, straight from the lcm double sum."""
     n_out = min(len(u), len(v))

@@ -142,10 +142,10 @@ def _euler_transforms():
     assert g[5] == 8
     # zeta(s) = 1/(1 - a s) forces G(n) = a^n for the full shift
     for a in (2, 3):
-        coeffs = zeta_from_fix(full_shift(a, 20)).coeffs
-        assert coeffs == tuple(a**m for m in range(21))
-    coeffs = zeta_from_fix(dual_rational(2, 3, 20)).coeffs
-    assert coeffs == (1, *(3 ** (m - 1) for m in range(1, 21)))
+        g = zeta_from_fix(full_shift(a, 20)).terms
+        assert g == tuple(a**m for m in range(1, 21))
+    g = zeta_from_fix(dual_rational(2, 3, 20)).terms
+    assert g == tuple(3 ** (m - 1) for m in range(1, 21))
 
 
 def test_c04():
@@ -159,10 +159,10 @@ def _three_routes():
     rng = random.Random(2024)
     for _ in range(100):
         o = rand_orbit(rng, rng.randint(1, 40), 4)
-        g = euler(o).terms
-        assert product_formula(o).coeffs == (1, *g)
+        g = euler(o)
+        assert product_formula(o) == g
         m = min(len(g), PARTITION_TERMS)
-        assert monoid_by_partitions(o, m).terms == g[:m]
+        assert monoid_by_partitions(o, m).terms == g.terms[:m]
 
 
 def test_c05():

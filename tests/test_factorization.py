@@ -1,10 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from orbitkit import PrimeSet, Sequence, View, factor_search, product_orbits
 from orbitkit.sequences import delta, feigenbaum, s_p, ternary, zeta
-from helpers import random_orbit
+from helpers import fix_from_orbit_brute, product_brute, random_orbit
 
 
 def test_delta_factors_uniquely():
@@ -83,3 +84,26 @@ def test_result_is_swap_symmetric():
     result = factor_search(zeta(8), 8)
     pairs = {(p.left.terms, p.right.terms) for p in result.pairs}
     assert all((r, l) in pairs for l, r in pairs)
+
+
+def test_matches_exhaustive_referee():
+    # F_T(n) = F_u(n) F_v(n) >= n u(n) since F_v(n) >= v(1) >= 1, so every
+    # factor pair has u(n), v(n) <= F_T(n) / n: try them all
+    rng = random.Random(47)
+    for _ in range(80):
+        n = rng.randint(1, 4)
+        target = Sequence(
+            View.ORBIT, (rng.randint(1, 3), *(rng.randint(0, 3) for _ in range(n - 1)))
+        )
+        bounds = [range(f // m + 1) for m, f in enumerate(fix_from_orbit_brute(target), 1)]
+        candidates = [Sequence(View.ORBIT, c) for c in itertools.product(*bounds)]
+        expected = [
+            (u.terms, v.terms)
+            for u in candidates
+            for v in candidates
+            # index 1 of the lcm sum is u(1) v(1): a cheap first filter
+            if u[1] * v[1] == target[1] and product_brute(u, v) == list(target.terms)
+        ]
+        result = factor_search(target, n)
+        assert not result.truncated
+        assert [(p.left.terms, p.right.terms) for p in result.pairs] == expected

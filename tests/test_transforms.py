@@ -17,7 +17,12 @@ from orbitkit import (
     realizable_as_fix,
 )
 from orbitkit.sequences import geometric, golden_mean, id_orbits, zeta
-from helpers import fix_from_orbit_brute, invert_fix_brute, random_orbit
+from helpers import (
+    euler_inverse_brute,
+    fix_from_orbit_brute,
+    invert_fix_brute,
+    random_orbit,
+)
 
 orbit_terms = st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=64)
 
@@ -137,6 +142,35 @@ def test_euler_inverse_negative():
 def test_euler_roundtrip(terms):
     o = Sequence(View.ORBIT, tuple(terms))
     assert euler_inverse(euler(o)) == o
+
+
+monoid_data = st.one_of(
+    # arbitrary data: mostly not an Euler transform
+    st.lists(st.integers(min_value=0, max_value=30), min_size=1, max_size=24),
+    # true monoid counts, then possibly one term nudged
+    st.builds(
+        lambda orbits, at, bump: [
+            g + (bump if n == at else 0)
+            for n, g in enumerate(euler(Sequence(View.ORBIT, tuple(orbits))), 1)
+        ],
+        st.lists(st.integers(min_value=0, max_value=6), min_size=1, max_size=24),
+        st.integers(min_value=1, max_value=24),
+        st.integers(min_value=0, max_value=3),
+    ),
+)
+
+
+@given(monoid_data)
+@settings(max_examples=200)
+def test_euler_inverse_matches_brute(terms):
+    expected = euler_inverse_brute(terms)
+    g = Sequence(View.MONOID, tuple(terms))
+    if isinstance(expected, tuple):
+        with pytest.raises(NotRealizableError) as err:
+            euler_inverse(g)
+        assert (err.value.index, err.value.kind) == expected
+    else:
+        assert list(euler_inverse(g)) == expected
 
 
 def test_multiplicative_zeta_and_id():

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from orbitkit import (
     NonIntegralError,
     NotRealizableError,
-    PowerSeries,
     Sequence,
     View,
     ViewError,
@@ -14,6 +13,7 @@ from orbitkit import (
     fix_to_orbit,
     orbit_to_fix,
     product_formula,
+    realizable_as_fix,
     zeta_from_fix,
 )
 from orbitkit.identities import PARTITION_TERMS
@@ -27,15 +27,6 @@ from orbitkit.sequences import (
     zeta,
 )
 from helpers import exp_series, zeta_from_fix_brute
-
-
-def test_power_series_basics():
-    p = PowerSeries((1, 2, 3))
-    assert p.order == 2
-    assert p[0] == 1 and p[2] == 3
-    assert p.coeffs == (1, 2, 3)
-    with pytest.raises(ValueError):
-        PowerSeries(())
 
 
 # exp_series is the Fraction referee in tests/helpers.py
@@ -63,21 +54,22 @@ def test_exp_geometric_log():
 
 def test_zeta_from_fix_golden_mean():
     got = zeta_from_fix(golden_mean(6))
-    assert got.coeffs == (1, 1, 2, 3, 5, 8, 13)
+    assert got.view is View.MONOID
+    assert got.terms == (1, 2, 3, 5, 8, 13)
     assert all(type(c) is int for c in got)
 
 
 def test_zeta_from_fix_dual_rational():
     got = zeta_from_fix(dual_rational(2, 3, 5))
-    assert got.coeffs == (1, 1, 3, 9, 27, 81)
+    assert got.terms == (1, 3, 9, 27, 81)
 
 
 def test_zeta_from_fix_full_shift():
     # 1/(1 - 2s): the monoid count G(n) = 2^n, forced by the Euler
     # recurrence n G(n) = F(n) + sum F(k) G(n-k)
     got = zeta_from_fix(full_shift(2, 5))
-    assert got.coeffs == (1, 2, 4, 8, 16, 32)
-    assert got.coeffs[1:] == euler(fix_to_orbit(full_shift(2, 5))).terms
+    assert got.terms == (2, 4, 8, 16, 32)
+    assert got == euler(fix_to_orbit(full_shift(2, 5)))
 
 
 def test_zeta_from_fix_view_check():
@@ -91,14 +83,23 @@ def test_zeta_from_fix_rejects_unrealizable():
     assert err.value.index == 2
 
 
+def test_zeta_from_fix_checks_only_monoid_counts():
+    # G = (2, 2) are nonnegative integers, yet O(2) = (F(2) - F(1)) / 2 = -1
+    f = Sequence(View.FIX, (2, 0))
+    assert zeta_from_fix(f).terms == (2, 2)
+    report = realizable_as_fix(f)
+    assert (report.ok, report.index, report.kind) == (False, 2, "negative")
+
+
 def test_product_formula_partitions():
     got = product_formula(zeta(6))
-    assert got.coeffs == (1, 1, 2, 3, 5, 7, 11)
+    assert got.view is View.MONOID
+    assert got.terms == (1, 2, 3, 5, 7, 11)
     assert all(type(c) is int for c in got)
 
 
 def test_product_formula_delta():
-    assert product_formula(delta(4)).coeffs == (1, 1, 1, 1, 1)
+    assert product_formula(delta(4)).terms == (1, 1, 1, 1)
 
 
 def test_product_formula_view_check():
@@ -109,10 +110,10 @@ def test_product_formula_view_check():
 def test_s_integer_ninth_term():
     # both series routes agree that the ninth monoid count is 122
     o = fix_to_orbit(s_integer_23(10))
-    via_product = product_formula(o).coeffs
-    via_exp = zeta_from_fix(s_integer_23(10)).coeffs
+    via_product = product_formula(o)
+    via_exp = zeta_from_fix(s_integer_23(10))
     assert via_product == via_exp
-    assert via_product[1:9] == (1, 1, 3, 4, 10, 13, 33, 56)
+    assert via_product.terms[:8] == (1, 1, 3, 4, 10, 13, 33, 56)
     assert via_product[9] == 122
 
 
@@ -120,10 +121,10 @@ def test_s_integer_ninth_term():
 @settings(max_examples=60)
 def test_three_routes_agree(terms):
     o = Sequence(View.ORBIT, tuple(terms))
-    g = euler(o).terms
-    assert product_formula(o).coeffs == (1, *g)
+    g = euler(o)
+    assert product_formula(o) == g
     m = min(len(g), PARTITION_TERMS)
-    assert monoid_by_partitions(o, m).terms == g[:m]
+    assert monoid_by_partitions(o, m).terms == g.terms[:m]
 
 
 fix_data = st.one_of(
@@ -153,5 +154,5 @@ def test_zeta_from_fix_matches_fraction_referee(fix):
         assert (err.value.index, err.value.kind) == expected
     else:
         got = zeta_from_fix(f)
-        assert got.coeffs == tuple(expected)
+        assert got.terms == tuple(expected[1:])
         assert all(type(c) is int for c in got)
