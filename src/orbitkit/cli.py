@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional
+from typing import Optional, Sequence as Vector
 
 from .asymptotics import pnt_report
 from .bfile import BFileFormatError, format_bfile, parse_bfile
@@ -35,6 +35,7 @@ from .sequences import (
 from .transforms import NotRealizableError, convert
 
 _PRIME_SET_PARAMS = frozenset({"P", "S"})
+_BFILE_SLICE = 1024  # b-file lines formatted per write
 
 
 def parse_prime_set(text: str) -> PrimeSet:
@@ -97,6 +98,12 @@ def _read_sequence(path: Optional[str], view: View, n_terms: Optional[int] = Non
         raise BFileFormatError(str(exc)) from None
 
 
+def _write_bfile(values: Vector[int], start: int = 1) -> None:
+    """Write values to stdout as a b-file, one slice at a time, never as one string."""
+    for i in range(0, len(values), _BFILE_SLICE):
+        sys.stdout.write(format_bfile(values[i : i + _BFILE_SLICE], start + i))
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -107,7 +114,7 @@ def _cmd_seq(args) -> int:
     seq = builtin(spec, args.terms)
     if args.view is not None:
         seq = convert(seq, View(args.view))
-    sys.stdout.write(format_bfile(seq.terms))
+    _write_bfile(seq.terms)
     return 0
 
 
@@ -122,7 +129,7 @@ _TRANSFORMS = {
 def _cmd_transform(args) -> int:
     in_view, out_view = _TRANSFORMS[args.kind]
     result = convert(_read_sequence(args.infile, in_view), out_view)
-    sys.stdout.write(format_bfile(result.terms))
+    _write_bfile(result.terms)
     return 0
 
 
@@ -150,7 +157,7 @@ def _cmd_op(args) -> int:
         b = _read_sequence(args.infile[1], View.ORBIT, args.terms)
         fn = product_orbits if args.op == "product" else union_orbits
         result = fn(a, b)
-    sys.stdout.write(format_bfile(result.terms))
+    _write_bfile(result.terms)
     return 0
 
 
@@ -218,12 +225,12 @@ def _cmd_factor(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    sys.stdout.write(format_bfile(_read_values(args.infile), args.offset))
+    _write_bfile(_read_values(args.infile), args.offset)
     return 0
 
 
 def _cmd_import(args) -> int:
-    sys.stdout.write(format_bfile(_read_values(args.infile), 1))
+    _write_bfile(_read_values(args.infile))
     return 0
 
 

@@ -34,10 +34,6 @@ class DirichletPoly:
         if len(self.coeffs) < 1:
             raise ValueError("a Dirichlet polynomial needs at least one coefficient")
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.coeffs)
-
     def __len__(self) -> int:
         return len(self.coeffs)
 

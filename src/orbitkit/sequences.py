@@ -51,10 +51,6 @@ class Sequence:
             if t < 0:
                 raise ValueError(f"term {i} is negative: {t}")
 
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
     def __len__(self) -> int:
         return len(self.terms)
 

@@ -183,6 +183,19 @@ def test_verify_all_smoke(capsys):
     assert all(line.endswith("PASS") for line in lines)
 
 
+def test_long_bfile_output_is_unbroken(capsys, tmp_path):
+    # output is written in slices; indices run on across slice boundaries
+    # (lists of lines, so a failure reports its first wrong line quickly)
+    code, out, _ = run_cli(capsys, "seq", "id_orbits", "--terms", "2500")
+    assert code == 0
+    assert out.splitlines(keepends=True) == [f"{n} {n}\n" for n in range(1, 2501)]
+    f = tmp_path / "id.b"
+    f.write_text(out, encoding="ascii")
+    code, out, _ = run_cli(capsys, "export", "--in", str(f), "--offset", "-5")
+    assert code == 0
+    assert out.splitlines(keepends=True) == [f"{n - 6} {n}\n" for n in range(1, 2501)]
+
+
 def test_growth_report(capsys):
     code, out, _ = run_cli(
         capsys,

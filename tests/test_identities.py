@@ -1,6 +1,17 @@
 import pytest
 
-from orbitkit.identities import REGISTRY, run, run_all
+from orbitkit import transforms
+from orbitkit.cli import main
+from orbitkit.identities import (
+    REGISTRY,
+    Identity,
+    Mismatch,
+    VerifyResult,
+    _expect,
+    run,
+    run_all,
+)
+from orbitkit.sequences import Sequence
 
 
 def test_registry_is_populated():
@@ -19,6 +30,88 @@ def test_registry_is_populated():
 def test_every_identity_passes_at_defaults():
     failures = [r for r in run_all() if not r.ok]
     assert failures == []
+
+
+@pytest.mark.parametrize("terms", [1, 2, 3, 4, 7])
+def test_every_identity_passes_at_small_terms(terms):
+    # fixed prefixes and sparse factors are cut to the requested length
+    failures = [r for r in run_all(terms) if not r.ok]
+    assert failures == []
+
+
+def _euler_off_by_one_at_3(monkeypatch):
+    """Make transforms.euler add 1 to its third term."""
+    real = transforms.euler
+
+    def wrong(o):
+        g = real(o)
+        if len(g) < 3:
+            return g
+        terms = list(g.terms)
+        terms[2] += 1
+        return Sequence(g.view, tuple(terms))
+
+    monkeypatch.setattr(transforms, "euler", wrong)
+
+
+# the identities a wrong third Euler term breaks at default terms
+_EULER_AT_3_FAILURES = {
+    "euler-roundtrip": " (euler_inverse(euler(o)) != o)",
+    "three-route-monoid": " at index 3 (zeta function routes disagree)",
+    "euler-partitions": " at index 3 (partition prefix wrong)",
+    "golden-mean-monoid": " at index 3 (monoid counts are not Fibonacci(n+1))",
+    "full-shift-monoid": " at index 3 (monoid counts wrong for a=2)",
+    "dual-rational-monoid": " at index 3 (monoid counts wrong for (1,2))",
+    "localized-monoid": " at index 2 (even/odd monoid pairing fails)",
+    "s-integer-monoid": " at index 3 (monoid prefix wrong)",
+}
+
+
+@pytest.mark.parametrize(
+    "expected, actual, index",
+    [((1, 2, 3), (1, 5, 3), 2), ((1, 2), (1, 2, 3), 3), ((1, 2, 3), (1,), 2), ((), (4,), 1)],
+)
+def test_expect_raises_at_first_difference(expected, actual, index):
+    _expect((1, 2), [1, 2], "equal")  # returns None when they agree
+    with pytest.raises(Mismatch) as info:
+        _expect(expected, actual, "detail")
+    assert info.value.args == (index, "detail")
+
+
+def test_run_reports_a_failing_check(monkeypatch):
+    _euler_off_by_one_at_3(monkeypatch)
+    result = run("euler-partitions")
+    assert result.ok is False
+    assert result.failing_index == 3
+    assert result.detail == "partition prefix wrong"
+    result = run("euler-roundtrip")
+    assert (result.ok, result.failing_index) == (False, None)
+    assert result.detail == "euler_inverse(euler(o)) != o"
+
+
+def test_verify_all_reports_every_failure(monkeypatch, capsys):
+    _euler_off_by_one_at_3(monkeypatch)
+    code = main(["verify", "all"])
+    out = capsys.readouterr().out
+    assert code == 1
+    expected = "".join(
+        f"{name}: FAIL{_EULER_AT_3_FAILURES[name]}\n"
+        if name in _EULER_AT_3_FAILURES
+        else f"{name}: PASS\n"
+        for name in REGISTRY
+    )
+    assert out == expected
+
+
+def test_failure_without_index(monkeypatch, capsys):
+    def always_fails(n):
+        raise Mismatch(None, "no index to give")
+
+    ident = Identity("always-fails", 1, "fails without an index", always_fails)
+    monkeypatch.setitem(REGISTRY, ident.name, ident)
+    assert run(ident.name) == VerifyResult(ident.name, False, None, "no index to give")
+    assert main(["verify", ident.name]) == 1
+    assert capsys.readouterr().out == "always-fails: FAIL (no index to give)\n"
 
 
 def test_unknown_name_raises():
