@@ -11,7 +11,6 @@ Fraction only where a denominator is real.
 
 from .asymptotics import (
     GrowthReport,
-    entropy_estimate,
     harmonic_number,
     mertens_sum,
     pi_count,
@@ -20,7 +19,7 @@ from .asymptotics import (
 from .bfile import BFile, BFileFormatError, format_bfile, parse_bfile
 from .dirichlet import DirichletPoly, dilate, div, mul, sparse, zeta_poly, zeta_shift
 from .factorization import FactorPair, FactorSearchResult, factor_search
-from .identities import Identity, VerifyResult, run, run_all
+from .identities import Identity, VerifyResult, run
 from .numtheory import (
     Factorization,
     PrimeSet,
@@ -106,7 +105,6 @@ __all__ = [
     "dilate",
     "div",
     "divisors",
-    "entropy_estimate",
     "euler",
     "euler_inverse",
     "euler_phi",
@@ -134,7 +132,6 @@ __all__ = [
     "product_orbits",
     "realizable_as_fix",
     "run",
-    "run_all",
     "sigma_k",
     "simulate_iterate",
     "simulate_product",

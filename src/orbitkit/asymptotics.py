@@ -84,12 +84,3 @@ def pnt_report(o: Sequence, h: float, c1: float, n_max: int) -> GrowthReport:
         mertens_actual=mertens_actual,
         mertens_minus_c1_harmonic=mertens_actual - c1 * harmonic_number(n_max),
     )
-
-
-def entropy_estimate(f: Sequence) -> float:
-    """log F(N) / N from the last term; exploration aid, not a contract."""
-    f.require_view(View.FIX, "entropy_estimate")
-    last = f[len(f)]
-    if last < 1:
-        raise ValueError("entropy estimate needs a positive final term")
-    return math.log(last) / len(f)

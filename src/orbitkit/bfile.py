@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import count, islice
 from typing import Iterable
 
 
 _FIELD = re.compile(r"-?[0-9]+")
+_FIELD_CHARS = re.compile(r"[0-9-]+")
 
 
 class BFileFormatError(ValueError):
@@ -30,6 +32,23 @@ class BFile:
 
 
 def parse_bfile(text: str) -> BFile:
+    """Read a b-file: canonical text in one pass, any other line by line."""
+    # Canonical text is "<field> <field>\n" on every line: removing the field
+    # characters leaves one " \n" per line, and no field is empty.
+    lines = text.count("\n")
+    if lines and _FIELD_CHARS.sub("", text) == " \n" * lines:
+        tokens = text.split()
+        if len(tokens) == 2 * lines:
+            try:
+                start = int(tokens[0])
+                if all(map(str.__eq__, islice(tokens, 0, None, 2), map(str, count(start)))):
+                    return BFile(start, tuple(map(int, islice(tokens, 1, None, 2))))
+            except ValueError:  # a field such as "-" or "1-2": let the lines say where
+                pass
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> BFile:
     entries: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

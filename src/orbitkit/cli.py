@@ -218,8 +218,8 @@ def _cmd_factor(args) -> int:
     print(f"pairs {len(result.pairs)}")
     print(f"truncated {'true' if result.truncated else 'false'}")
     for pair in result.pairs:
-        left = " ".join(str(t) for t in pair.left.terms)
-        right = " ".join(str(t) for t in pair.right.terms)
+        left = " ".join(map(str, pair.left.terms))
+        right = " ".join(map(str, pair.right.terms))
         print(f"{left} | {right}")
     return 0
 

@@ -28,9 +28,11 @@ class DirichletPoly:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        for n, c in enumerate(self.coeffs, start=1):
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"coefficient {n} is not exact: {c!r}")
+        # bool, subclasses and inexact values take the loop, which names the index
+        if not set(map(type, self.coeffs)) <= {int, Fraction}:
+            for n, c in enumerate(self.coeffs, start=1):
+                if not isinstance(c, (int, Fraction)):
+                    raise TypeError(f"coefficient {n} is not exact: {c!r}")
         if len(self.coeffs) < 1:
             raise ValueError("a Dirichlet polynomial needs at least one coefficient")
 

@@ -5,7 +5,9 @@ stable name, as a function of a term count.  Randomized checks use
 fixed seeds, so identical invocations give identical results.  A check
 returns None when its identity holds and otherwise raises `Mismatch`
 with the first failing index, when there is one; `run` alone turns
-either outcome into a `VerifyResult`.
+either outcome into a `VerifyResult`.  It reports a kernel's
+`NotRealizableError` as a failure at its index, and re-raises any
+other exception as a RuntimeError that names the identity.
 """
 
 from __future__ import annotations
@@ -90,11 +92,11 @@ def run(name: str, terms: Optional[int] = None) -> VerifyResult:
         ident.check(n)
     except Mismatch as exc:
         return VerifyResult(ident.name, False, *exc.args)
+    except transforms.NotRealizableError as exc:
+        return VerifyResult(ident.name, False, exc.index, str(exc))
+    except Exception as exc:
+        raise RuntimeError(f"identity {ident.name}: {exc!r}") from exc
     return VerifyResult(ident.name, True, None, "")
-
-
-def run_all(terms: Optional[int] = None) -> list[VerifyResult]:
-    return [run(name, terms) for name in REGISTRY]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ over the part of k supported on primes missing from n.
 
 from __future__ import annotations
 
+from operator import add, mul
+
 from .numtheory import divisors, factorize
 from .sequences import Sequence, View
 from .transforms import fix_to_orbit, orbit_to_fix
@@ -25,18 +27,14 @@ def union_orbits(u: Sequence, v: Sequence) -> Sequence:
     """Orbit counts of the disjoint union: pointwise sum."""
     u.require_view(View.ORBIT, "union_orbits")
     v.require_view(View.ORBIT, "union_orbits")
-    n_out = min(len(u), len(v))
-    return Sequence(
-        View.ORBIT, tuple(u[n] + v[n] for n in range(1, n_out + 1))
-    )
+    return Sequence(View.ORBIT, tuple(map(add, u.terms, v.terms)))
 
 
 def product_fix(f: Sequence, g: Sequence) -> Sequence:
     """Fixed-point counts of the Cartesian product: pointwise product."""
     f.require_view(View.FIX, "product_fix")
     g.require_view(View.FIX, "product_fix")
-    n_out = min(len(f), len(g))
-    return Sequence(View.FIX, tuple(f[n] * g[n] for n in range(1, n_out + 1)))
+    return Sequence(View.FIX, tuple(map(mul, f.terms, g.terms)))
 
 
 def _check_power(k: int, available: int, op: str) -> int:

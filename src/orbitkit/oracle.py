@@ -37,24 +37,12 @@ class CycleSystem:
             if count < 1:
                 raise ValueError(f"count for length {length} must be >= 1, got {count}")
 
-    @property
-    def total_points(self) -> int:
-        return sum(length * count for length, count in self.cycles.items())
-
 
 def build(o: Sequence) -> CycleSystem:
     """Realize an orbit sequence as cycles: o[n] cycles of length n."""
     o.require_view(View.ORBIT, "oracle.build")
     return CycleSystem(
         {n: o[n] for n in range(1, len(o) + 1) if o[n]}, horizon=len(o)
-    )
-
-
-def to_sequence(system: CycleSystem, n_terms: int) -> Sequence:
-    if not 1 <= n_terms <= system.horizon:
-        raise ValueError(f"n_terms {n_terms} outside 1..{system.horizon}")
-    return Sequence(
-        View.ORBIT, tuple(system.cycles.get(n, 0) for n in range(1, n_terms + 1))
     )
 
 

@@ -45,6 +45,9 @@ class Sequence:
             raise TypeError(f"view must be a View member, got {self.view!r}")
         if len(self.terms) < 1:
             raise ValueError("a sequence needs at least one term")
+        # bool, subclasses and negatives take the loop, which names the index
+        if set(map(type, self.terms)) <= {int} and min(self.terms) >= 0:
+            return
         for i, t in enumerate(self.terms, start=1):
             if not isinstance(t, int) or isinstance(t, bool):
                 raise TypeError(f"term {i} is not an int: {t!r}")

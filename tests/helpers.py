@@ -9,6 +9,8 @@ from fractions import Fraction
 from math import gcd
 from random import Random
 
+from hypothesis import strategies as st
+
 from orbitkit import Sequence, View
 
 
@@ -154,3 +156,51 @@ def dirichlet_div_brute(a, b):
                     acc -= c[d - 1] * b[e - 1]
         c.append(acc / b[0])
     return c
+
+
+class SubInt(int):
+    """An int subclass: accepted as a term, but not by a type-set fast path."""
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the exception it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def sequence_terms_brute(terms):
+    """The terms as Sequence must store them, checked one at a time."""
+    for i, t in enumerate(terms, start=1):
+        if not isinstance(t, int) or isinstance(t, bool):
+            raise TypeError(f"term {i} is not an int: {t!r}")
+        if t < 0:
+            raise ValueError(f"term {i} is negative: {t}")
+    return tuple(terms)
+
+
+def dirichlet_coeffs_brute(coeffs):
+    """The coefficients as DirichletPoly must store them, checked one at a time."""
+    for n, c in enumerate(coeffs, start=1):
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError(f"coefficient {n} is not exact: {c!r}")
+    return tuple(coeffs)
+
+
+# Term lists for the container referees: often all plain ints (the fast
+# path), otherwise mixed with values only the per-term loop may judge.
+mixed_terms = st.one_of(
+    st.lists(st.integers(min_value=-3, max_value=10**30), min_size=1, max_size=12),
+    st.lists(
+        st.one_of(
+            st.integers(min_value=-3, max_value=10**30),
+            st.booleans(),
+            st.integers(min_value=-3, max_value=9).map(SubInt),
+            st.fractions(max_denominator=5),
+            st.floats(allow_nan=False),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)

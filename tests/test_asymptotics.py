@@ -4,7 +4,6 @@ import pytest
 
 from orbitkit import (
     GrowthReport,
-    entropy_estimate,
     fix_to_orbit,
     harmonic_number,
     mertens_sum,
@@ -77,8 +76,3 @@ def test_weighted_term_survives_huge_counts():
     assert math.isfinite(total)
     tail = math.exp(2000 * LN2 - 1400)
     assert total == pytest.approx(sum(math.exp(-n) for n in range(1, 1400)) + tail)
-
-
-def test_entropy_estimate():
-    assert entropy_estimate(full_shift(2, 40)) == pytest.approx(LN2, rel=1e-9)
-    assert entropy_estimate(full_shift(3, 30)) == pytest.approx(math.log(3), rel=1e-9)

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from orbitkit import BFile, BFileFormatError, format_bfile, parse_bfile
+from orbitkit import BFile, BFileFormatError, bfile, format_bfile, parse_bfile
+from helpers import outcome
 
 
 def test_format_canonical():
@@ -79,3 +80,76 @@ def test_roundtrip_is_byte_identical(values, start):
     assert parsed.start == start
     assert list(parsed.values) == values
     assert parsed.to_text() == text
+
+
+# Edits that take a canonical text off the one-pass route: each acts on
+# the list of lines at one position.  Valid results and error messages
+# must come out as the per-line reader gives them.
+def _replace(old, new):
+    def edit(lines, i):
+        lines[i] = lines[i].replace(old, new, 1)
+
+    return edit
+
+
+def _set_value(value):
+    def edit(lines, i):
+        lines[i] = lines[i].split(" ")[0] + f" {value}\n"
+
+    return edit
+
+
+def _swap_with_next(lines, i):
+    lines[i : i + 2] = lines[i : i + 2][::-1]
+
+
+_EDITS = [
+    lambda lines, i: lines.insert(i, "# a comment\n"),
+    lambda lines, i: lines.insert(i, "\n"),
+    _replace("\n", "\r\n"),
+    _replace("\n", "\r"),
+    _replace(" ", "\t"),
+    _replace(" ", "  "),
+    _replace(" ", " +"),
+    _replace(" ", " 1_"),
+    _replace(" ", " \u0663"),
+    _replace(" ", " 5 "),
+    _set_value("1-2"),
+    _set_value("-"),
+    _set_value("--3"),
+    _set_value(""),  # an empty value field
+    lambda lines, i: lines.__setitem__(i, " " + lines[i].partition(" ")[2]),  # an empty index
+    lambda lines, i: lines.pop(i),  # a gap, or no data at all
+    _swap_with_next,  # a descent
+    lambda lines, i: lines.__setitem__(i, "0" + lines[i]),  # index such as 01
+    lambda lines, i: lines.__setitem__(i, " " + lines[i]),
+    lambda lines, i: lines.__setitem__(i, lines[i].rstrip("\n")),  # a missing newline
+]
+
+
+@settings(max_examples=400)
+@given(
+    st.lists(st.integers(min_value=-(10**40), max_value=10**40), min_size=1, max_size=8),
+    st.integers(min_value=-3, max_value=12),
+    st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(_EDITS)), max_size=3),
+)
+def test_one_pass_reader_agrees_with_line_reader(values, start, edits):
+    lines = format_bfile(values, start).splitlines(keepends=True)
+    for where, edit in edits:
+        if lines:
+            edit(lines, where % len(lines))
+    text = "".join(lines)
+    assert outcome(parse_bfile, text) == outcome(bfile._parse_lines, text)
+
+
+@given(
+    st.lists(st.integers(min_value=-(10**40), max_value=10**40), min_size=1, max_size=40),
+    st.integers(min_value=-5, max_value=5),
+)
+def test_canonical_text_never_reaches_the_line_reader(values, start):
+    def refuse(text):
+        raise AssertionError("canonical text went through the per-line reader")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bfile, "_parse_lines", refuse)
+        assert parse_bfile(format_bfile(values, start)) == BFile(start, tuple(values))

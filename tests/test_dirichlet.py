@@ -7,7 +7,13 @@ from orbitkit import DirichletPoly, dilate, div, mul, sparse, zeta_poly, zeta_sh
 from orbitkit.dirichlet import delta_poly, from_coeffs, from_sequence
 from orbitkit.sequences import delta, id_orbits, zeta
 from orbitkit import product_orbits
-from helpers import dirichlet_div_brute, dirichlet_mul_brute
+from helpers import (
+    dirichlet_coeffs_brute,
+    dirichlet_div_brute,
+    dirichlet_mul_brute,
+    mixed_terms,
+    outcome,
+)
 
 rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=6
@@ -23,6 +29,12 @@ def test_from_sequence():
     assert from_sequence(id_orbits(4)).coeffs == (1, 2, 3, 4)
     assert from_sequence(delta(3)).coeffs == (1, 0, 0)
     assert all(type(c) is int for c in from_sequence(zeta(3)).coeffs)
+
+
+@given(mixed_terms)
+def test_validation_agrees_with_per_term_loop(coeffs):
+    got = outcome(lambda: DirichletPoly(coeffs).coeffs)
+    assert got == outcome(dirichlet_coeffs_brute, coeffs)
 
 
 def test_keeps_the_numbers_it_is_given():

@@ -9,7 +9,6 @@ from orbitkit.identities import (
     VerifyResult,
     _expect,
     run,
-    run_all,
 )
 from orbitkit.sequences import Sequence
 
@@ -28,15 +27,15 @@ def test_registry_is_populated():
 
 
 def test_every_identity_passes_at_defaults():
-    failures = [r for r in run_all() if not r.ok]
-    assert failures == []
+    results = [run(name) for name in REGISTRY]
+    assert [r for r in results if not r.ok] == []
 
 
 @pytest.mark.parametrize("terms", [1, 2, 3, 4, 7])
 def test_every_identity_passes_at_small_terms(terms):
     # fixed prefixes and sparse factors are cut to the requested length
-    failures = [r for r in run_all(terms) if not r.ok]
-    assert failures == []
+    results = [run(name, terms) for name in REGISTRY]
+    assert [r for r in results if not r.ok] == []
 
 
 def _euler_off_by_one_at_3(monkeypatch):
@@ -112,6 +111,42 @@ def test_failure_without_index(monkeypatch, capsys):
     assert run(ident.name) == VerifyResult(ident.name, False, None, "no index to give")
     assert main(["verify", ident.name]) == 1
     assert capsys.readouterr().out == "always-fails: FAIL (no index to give)\n"
+
+
+def test_kernel_error_fails_its_identity_and_the_run_goes_on(monkeypatch, capsys):
+    # fixed-point counts with F(1) one too high are not realizable at n=2
+    real = transforms.orbit_to_fix
+
+    def wrong(o):
+        f = real(o)
+        return Sequence(f.view, (f.terms[0] + 1, *f.terms[1:]))
+
+    monkeypatch.setattr(transforms, "orbit_to_fix", wrong)
+    assert run("fix-orbit-roundtrip") == VerifyResult(
+        "fix-orbit-roundtrip", False, 2, "orbit count at n=2 is not integral"
+    )
+    code = main(["verify", "all"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line.split(": ")[0] for line in lines] == list(REGISTRY)
+    assert "euler-roundtrip: FAIL at index 2 (monoid count at n=2 is not integral)" in lines
+
+
+@pytest.mark.parametrize("error", [RuntimeError("boom"), ValueError("boom")])
+def test_other_exception_in_a_check_is_an_internal_error(monkeypatch, capsys, error):
+    def crashes(n):
+        raise error
+
+    name = "product-identity"
+    monkeypatch.setitem(REGISTRY, name, Identity(name, 1, "raises a defect", crashes))
+    with pytest.raises(RuntimeError, match=f"identity {name}: {type(error).__name__}"):
+        run(name)
+    assert main(["verify", "all"]) == 4
+    captured = capsys.readouterr()
+    names = list(REGISTRY)
+    assert [line.split(": ")[0] for line in captured.out.splitlines()] == names[: names.index(name)]
+    assert captured.err.startswith("internal error:")
+    assert f"identity {name}" in captured.err
 
 
 def test_unknown_name_raises():

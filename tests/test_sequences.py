@@ -21,6 +21,7 @@ from orbitkit.sequences import (
     ternary,
     zeta,
 )
+from helpers import mixed_terms, outcome, sequence_terms_brute
 
 
 class TestSequenceType:
@@ -70,6 +71,12 @@ class TestSequenceType:
             truncate(s, 5)
         with pytest.raises(ValueError):
             truncate(s, 0)
+
+
+@given(mixed_terms)
+def test_validation_agrees_with_per_term_loop(terms):
+    got = outcome(lambda: Sequence(View.ORBIT, terms).terms)
+    assert got == outcome(sequence_terms_brute, terms)
 
 
 def test_zeta_delta_id():
