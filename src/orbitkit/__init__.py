@@ -74,72 +74,3 @@ from .transforms import (
 from .zetaseries import product_formula, zeta_from_fix
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BFile",
-    "BFileFormatError",
-    "BuiltinSpec",
-    "CycleSystem",
-    "DirichletPoly",
-    "FactorPair",
-    "FactorSearchResult",
-    "Factorization",
-    "GrowthReport",
-    "Identity",
-    "Multiplicativity",
-    "NegativeError",
-    "NonIntegralError",
-    "NotRealizableError",
-    "PrimeSet",
-    "Realizability",
-    "Sequence",
-    "VerifyResult",
-    "View",
-    "ViewError",
-    "build",
-    "builtin",
-    "builtin_names",
-    "convert",
-    "count_fixed",
-    "cyclic_subgroup_count",
-    "dilate",
-    "div",
-    "divisors",
-    "euler",
-    "euler_inverse",
-    "euler_phi",
-    "factor_search",
-    "factorize",
-    "fix_to_orbit",
-    "format_bfile",
-    "harmonic_number",
-    "is_multiplicative",
-    "is_prime",
-    "iterate_fix",
-    "iterate_orbits",
-    "mertens_sum",
-    "mobius",
-    "mul",
-    "orbit_to_fix",
-    "parse_bfile",
-    "part",
-    "pi_count",
-    "pnt_report",
-    "primes_upto",
-    "primitive_lattice_count",
-    "product_fix",
-    "product_formula",
-    "product_orbits",
-    "realizable_as_fix",
-    "run",
-    "sigma_k",
-    "simulate_iterate",
-    "simulate_product",
-    "sparse",
-    "truncate",
-    "union_orbits",
-    "zeta_from_fix",
-    "zeta_poly",
-    "zeta_shift",
-    "__version__",
-]

@@ -10,13 +10,12 @@ order 1/N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .sequences import Sequence, View
 
 
-@dataclass(frozen=True)
-class GrowthReport:
+class GrowthReport(NamedTuple):
     n_max: int
     h: float
     c1: float

@@ -9,9 +9,8 @@ of a canonical file is byte-identical.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import count, islice
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 
 _FIELD = re.compile(r"-?[0-9]+")
@@ -22,8 +21,7 @@ class BFileFormatError(ValueError):
     """Malformed b-file input."""
 
 
-@dataclass(frozen=True)
-class BFile:
+class BFile(NamedTuple):
     start: int
     values: tuple[int, ...]
 
@@ -59,7 +57,10 @@ def _parse_lines(text: str) -> BFile:
             raise BFileFormatError(f"line {lineno}: expected 'index value', got {raw!r}")
         if not all(map(_FIELD.fullmatch, pieces)):
             raise BFileFormatError(f"line {lineno}: non-integer field in {raw!r}")
-        idx, val = int(pieces[0]), int(pieces[1])
+        try:
+            idx, val = int(pieces[0]), int(pieces[1])
+        except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+            raise BFileFormatError(f"line {lineno}: {exc}") from None
         if entries and idx != entries[-1][0] + 1:
             raise BFileFormatError(
                 f"line {lineno}: index {idx} is not contiguous with {entries[-1][0]}"

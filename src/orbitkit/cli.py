@@ -14,7 +14,6 @@ non-ASCII bytes and negative terms read as orbit, fix or monoid data),
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import Optional, Sequence as Vector
 
@@ -85,6 +84,8 @@ def _read_values(path: Optional[str]) -> list[int]:
 
 
 def _read_sequence(path: Optional[str], view: View, n_terms: Optional[int] = None) -> Sequence:
+    if n_terms is not None and n_terms < 1:
+        raise ValueError(f"--terms must be at least 1, got {n_terms}")
     values = _read_values(path)
     if n_terms is not None:
         if len(values) < n_terms:
@@ -192,13 +193,8 @@ def _cmd_growth(args) -> int:
     spec = BuiltinSpec(args.name, _parse_params(args.param))
     orbits = convert(builtin(spec, args.terms), View.ORBIT)
     report = pnt_report(orbits, args.h, args.c1, args.terms)
-    print(f"n_max {report.n_max}")
-    print(f"h {report.h!r}")
-    print(f"c1 {report.c1!r}")
-    print(f"pi_actual {report.pi_actual}")
-    print(f"pi_predicted {report.pi_predicted!r}")
-    print(f"mertens_actual {report.mertens_actual!r}")
-    print(f"mertens_minus_c1_harmonic {report.mertens_minus_c1_harmonic!r}")
+    for name, value in zip(report._fields, report):
+        print(f"{name} {value!r}")
     return 0
 
 
@@ -206,6 +202,7 @@ def _cmd_factor(args) -> int:
     target = _read_sequence(args.infile, View.ORBIT, args.terms)
     result = factor_search(target, len(target), limit=args.limit)
     if args.json:
+        import json  # only this output needs it; the other commands start without it
         payload = {
             "pairs": [
                 {"left": list(p.left.terms), "right": list(p.right.terms)}
@@ -226,11 +223,6 @@ def _cmd_factor(args) -> int:
 
 def _cmd_export(args) -> int:
     _write_bfile(_read_values(args.infile), args.offset)
-    return 0
-
-
-def _cmd_import(args) -> int:
-    _write_bfile(_read_values(args.infile))
     return 0
 
 
@@ -298,21 +290,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("import", help="normalize a b-file to offset 1")
     p.add_argument("--in", dest="infile", default=None, metavar="FILE")
-    p.set_defaults(func=_cmd_import)
+    p.set_defaults(func=_cmd_export, offset=1)
 
     return parser
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    if hasattr(sys, "set_int_max_str_digits"):
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)  # exact terms may have any number of digits
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except SystemExit as exc:  # from argparse, after it printed usage or help
+        return exc.code if isinstance(exc.code, int) else 2
     except BFileFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 3
@@ -325,6 +316,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except Exception as exc:
         print(f"internal error: {exc!r}", file=sys.stderr)
         return 4
+    finally:  # an in-process caller gets its own limit back
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,6 @@ in cleared-denominator form, so only these finite objects ever exist.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -20,14 +19,14 @@ from .sequences import Sequence
 Rational = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
 class DirichletPoly:
     """Coefficients of 1^{-s} .. N^{-s}, each an int or a Fraction."""
 
+    __slots__ = ("coeffs",)
     coeffs: tuple[Rational, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+    def __init__(self, coeffs: tuple[Rational, ...]) -> None:
+        object.__setattr__(self, "coeffs", tuple(coeffs))
         # bool, subclasses and inexact values take the loop, which names the index
         if not set(map(type, self.coeffs)) <= {int, Fraction}:
             for n, c in enumerate(self.coeffs, start=1):
@@ -35,6 +34,22 @@ class DirichletPoly:
                     raise TypeError(f"coefficient {n} is not exact: {c!r}")
         if len(self.coeffs) < 1:
             raise ValueError("a Dirichlet polynomial needs at least one coefficient")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"DirichletPoly(coeffs={self.coeffs!r})"
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"DirichletPoly is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     def __len__(self) -> int:
         return len(self.coeffs)

@@ -12,22 +12,19 @@ with A, B the fixed-point sums of u, v over the proper divisors of n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .numtheory import divisors
 from .sequences import Sequence, View
 from .transforms import orbit_to_fix
 
 
-@dataclass(frozen=True)
-class FactorPair:
+class FactorPair(NamedTuple):
     left: Sequence
     right: Sequence
 
 
-@dataclass(frozen=True)
-class FactorSearchResult:
+class FactorSearchResult(NamedTuple):
     pairs: tuple[FactorPair, ...]
     truncated: bool
 

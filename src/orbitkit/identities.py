@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import asymptotics, dirichlet, operators, oracle, transforms, zetaseries
 from .bfile import format_bfile, parse_bfile
@@ -56,16 +55,14 @@ class Mismatch(Exception):
     """A failed check: ``Mismatch(first failing one-based index or None, detail)``."""
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     name: str
     ok: bool
     failing_index: Optional[int]
     detail: str
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(NamedTuple):
     name: str
     default_terms: int
     description: str

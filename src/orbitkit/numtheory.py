@@ -7,7 +7,6 @@ factor search, and sieves are out of scope.  Everything is exact ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 
@@ -16,13 +15,14 @@ def _require_positive(n: int, name: str = "n") -> None:
         raise ValueError(f"{name} must be a positive integer, got {n!r}")
 
 
-@dataclass(frozen=True)
 class Factorization:
     """Prime decomposition as (prime, exponent) pairs, primes ascending."""
 
+    __slots__ = ("pairs",)
     pairs: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
+        object.__setattr__(self, "pairs", pairs)
         last = 1
         for p, a in self.pairs:
             if p <= last:
@@ -30,6 +30,22 @@ class Factorization:
             if a < 1:
                 raise ValueError(f"exponent of {p} must be >= 1, got {a}")
             last = p
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.pairs == other.pairs
+
+    def __hash__(self) -> int:
+        return hash(self.pairs)
+
+    def __repr__(self) -> str:
+        return f"Factorization(pairs={self.pairs!r})"
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"Factorization is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     @property
     def primes(self) -> tuple[int, ...]:
@@ -134,7 +150,6 @@ def euler_phi(n: int) -> int:
     return out
 
 
-@dataclass(frozen=True)
 class PrimeSet:
     """A finite or cofinite set of primes.
 
@@ -143,10 +158,13 @@ class PrimeSet:
     primes are kept sorted, so equal sets compare equal.
     """
 
+    __slots__ = ("cofinite", "primes")
     cofinite: bool
     primes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, cofinite: bool, primes: tuple[int, ...]) -> None:
+        object.__setattr__(self, "cofinite", cofinite)
+        object.__setattr__(self, "primes", primes)
         last = 1
         for p in self.primes:
             if p <= last:
@@ -154,6 +172,22 @@ class PrimeSet:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
             last = p
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cofinite, self.primes) == (other.cofinite, other.primes)
+
+    def __hash__(self) -> int:
+        return hash((self.cofinite, self.primes))
+
+    def __repr__(self) -> str:
+        return f"PrimeSet(cofinite={self.cofinite!r}, primes={self.primes!r})"
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"PrimeSet is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     @classmethod
     def finite(cls, primes: Iterable[int] = ()) -> "PrimeSet":

@@ -9,7 +9,6 @@ on purpose: these are the referees for the clever routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd
 from typing import Iterator, Mapping
 
@@ -17,7 +16,6 @@ from .numtheory import _require_positive, divisors, euler_phi, mobius
 from .sequences import Sequence, View
 
 
-@dataclass(frozen=True)
 class CycleSystem:
     """A multiset of cycle lengths plus the horizon the counts cover.
 
@@ -25,17 +23,32 @@ class CycleSystem:
     lengths above ``horizon`` are unknown rather than absent.
     """
 
+    __slots__ = ("cycles", "horizon")
     cycles: Mapping[int, int]
     horizon: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "cycles", dict(self.cycles))
+    def __init__(self, cycles: Mapping[int, int], horizon: int) -> None:
+        object.__setattr__(self, "cycles", dict(cycles))
+        object.__setattr__(self, "horizon", horizon)
         _require_positive(self.horizon, "horizon")
         for length, count in self.cycles.items():
             if not 1 <= length <= self.horizon:
                 raise ValueError(f"cycle length {length} outside 1..{self.horizon}")
             if count < 1:
                 raise ValueError(f"count for length {length} must be >= 1, got {count}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.cycles, self.horizon) == (other.cycles, other.horizon)
+
+    def __repr__(self) -> str:
+        return f"CycleSystem(cycles={self.cycles!r}, horizon={self.horizon!r})"
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"CycleSystem is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
 
 def build(o: Sequence) -> CycleSystem:

@@ -14,8 +14,8 @@ vector is never fed to, say, the Euler transform by accident.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Mapping, Union
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Union
 
 from .numtheory import PrimeSet, _require_positive, factorize, part
 
@@ -32,12 +32,17 @@ class ViewError(ValueError):
     """A sequence arrived with the wrong view tag."""
 
 
-@dataclass(frozen=True)
 class Sequence:
     """One-indexed vector of nonnegative integers plus a view tag."""
 
+    __slots__ = ("view", "terms")
     view: View
     terms: tuple[int, ...]
+
+    def __init__(self, view: View, terms: tuple[int, ...]) -> None:
+        object.__setattr__(self, "view", view)
+        object.__setattr__(self, "terms", terms)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -53,6 +58,22 @@ class Sequence:
                 raise TypeError(f"term {i} is not an int: {t!r}")
             if t < 0:
                 raise ValueError(f"term {i} is negative: {t}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.view is other.view and self.terms == other.terms
+
+    def __hash__(self) -> int:
+        return hash((self.view, self.terms))
+
+    def __repr__(self) -> str:
+        return f"Sequence(view={self.view!r}, terms={self.terms!r})"
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"Sequence is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -223,12 +244,11 @@ def a_s(primes: PrimeSet, n_terms: int) -> Sequence:
     return Sequence(View.ORBIT, tuple(terms))
 
 
-@dataclass(frozen=True)
-class BuiltinSpec:
+class BuiltinSpec(NamedTuple):
     """A catalogue name plus its parameters, e.g. ('full_shift', {'a': 2})."""
 
     name: str
-    params: Mapping[str, Union[int, PrimeSet]] = field(default_factory=dict)
+    params: Mapping[str, Union[int, PrimeSet]] = MappingProxyType({})  # read-only
 
 
 _CATALOGUE = {

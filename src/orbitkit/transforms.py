@@ -10,10 +10,9 @@ non-realizable inputs announce themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from operator import mul
-from typing import Optional, Sequence as Vector
+from typing import NamedTuple, Optional, Sequence as Vector
 
 from . import dirichlet
 from .sequences import Sequence, View
@@ -46,8 +45,7 @@ class NegativeError(NotRealizableError):
         )
 
 
-@dataclass(frozen=True)
-class Realizability:
+class Realizability(NamedTuple):
     ok: bool
     index: Optional[int]
     kind: Optional[str]
@@ -134,8 +132,7 @@ def euler_inverse(g: Sequence) -> Sequence:
     return Sequence(View.ORBIT, tuple(_invert_fix_terms(fix)))
 
 
-@dataclass(frozen=True)
-class Multiplicativity:
+class Multiplicativity(NamedTuple):
     ok: bool
     witness: Optional[tuple[int, int]]
 

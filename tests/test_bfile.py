@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -153,3 +155,21 @@ def test_canonical_text_never_reaches_the_line_reader(values, start):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(bfile, "_parse_lines", refuse)
         assert parse_bfile(format_bfile(values, start)) == BFile(start, tuple(values))
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int/str digit limit"
+)
+def test_term_over_the_digit_limit_names_its_line():
+    text = "1 " + "1" * 5000 + "\n"
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        with pytest.raises(BFileFormatError, match="^line 1: "):
+            parse_bfile(text)
+        with pytest.raises(BFileFormatError, match="^line 3: "):
+            parse_bfile("# big\n1 1\n" + text.replace("1 ", "2 ", 1))
+        sys.set_int_max_str_digits(0)
+        assert parse_bfile(text).values == (int("1" * 5000),)
+    finally:
+        sys.set_int_max_str_digits(old)

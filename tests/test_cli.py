@@ -1,11 +1,18 @@
 import io
 import json
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import orbitkit
 from orbitkit.cli import main, parse_prime_set
 from orbitkit import PrimeSet
+
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int/str digit limit"
+)
 
 
 def run_cli(capsys, *argv):
@@ -282,6 +289,18 @@ def test_non_ascii_input_is_malformed(capsys, tmp_path, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("terms", ["-1", "0"])
+@pytest.mark.parametrize("argv", [("op", "product"), ("op", "union"), ("factor",)])
+def test_terms_below_one_is_usage_error(capsys, tmp_path, argv, terms):
+    f = tmp_path / "s3.b"
+    f.write_text("1 1\n2 1\n3 1\n", encoding="ascii")
+    inputs = ["--in", str(f)] * (2 if argv[0] == "op" else 1)
+    code, out, err = run_cli(capsys, *argv, *inputs, "--terms", terms)
+    assert code == 2
+    assert out == ""
+    assert "--terms" in err
+
+
 @pytest.mark.parametrize("text", ["1 1_000\n", "1 1\n2 +4\n", "1 1\n2 \u0663\n"])
 def test_import_rejects_non_canonical_fields(capsys, monkeypatch, text):
     monkeypatch.setattr("sys.stdin", io.StringIO(text))
@@ -343,6 +362,28 @@ def test_transform_term_with_5001_digits(capsys, tmp_path, default_digit_limit):
     code, out, _ = run_cli(capsys, "transform", "orbit-to-fix", "--in", str(f))
     assert code == 0
     assert out == "1 2\n2 2" + "0" * 4999 + "8\n"
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv", [("seq", "zeta", "--terms", "2"), ("seq", "nope", "--terms", "2")])
+def test_main_restores_the_digit_limit(capsys, default_digit_limit, argv):
+    before = sys.get_int_max_str_digits()
+    run_cli(capsys, *argv)
+    assert sys.get_int_max_str_digits() == before
+
+
+def test_cli_import_skips_dataclasses_and_json():
+    # dataclasses (and the inspect it imports) compile methods at import time;
+    # json is needed only by factor --json
+    src = str(Path(orbitkit.__file__).resolve().parent.parent)
+    probe = (
+        f"import sys; sys.path.insert(0, {src!r}); import orbitkit.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "[]\n"
 
 
 def test_factor_deep_input(capsys, tmp_path):

@@ -3,7 +3,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from orbitkit import BuiltinSpec, PrimeSet, Sequence, View, ViewError
+from orbitkit import (
+    BuiltinSpec,
+    CycleSystem,
+    DirichletPoly,
+    Factorization,
+    PrimeSet,
+    Sequence,
+    View,
+    ViewError,
+)
 from orbitkit import builtin, builtin_names, truncate
 from orbitkit.sequences import (
     a_s,
@@ -163,6 +172,51 @@ def test_a_s_always_integral():
                 if a:
                     weight *= Fraction((p + 1) * p**a - 2, p - 1)
             assert seq[n] == weight
+
+
+# each validated container, built from fixed fields, with its field names and repr
+CONTAINERS = [
+    (
+        lambda: Sequence(View.ORBIT, [1, 2]),
+        ("view", "terms"),
+        "Sequence(view=<View.ORBIT: 'orbit'>, terms=(1, 2))",
+    ),
+    (
+        lambda: DirichletPoly([1, Fraction(1, 2)]),
+        ("coeffs",),
+        "DirichletPoly(coeffs=(1, Fraction(1, 2)))",
+    ),
+    (lambda: Factorization(((2, 3),)), ("pairs",), "Factorization(pairs=((2, 3),))"),
+    (lambda: PrimeSet(True, (2,)), ("cofinite", "primes"), "PrimeSet(cofinite=True, primes=(2,))"),
+    (lambda: CycleSystem({1: 2}, 3), ("cycles", "horizon"), "CycleSystem(cycles={1: 2}, horizon=3)"),
+]
+
+
+@pytest.mark.parametrize("make, names, text", CONTAINERS)
+def test_containers_are_immutable_values(make, names, text):
+    a, b = make(), make()
+    assert a == b and not a != b and a is not b
+    assert repr(a) == text
+    assert a != tuple(getattr(a, name) for name in names)
+    for name in (*names, "other"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+        with pytest.raises(AttributeError):
+            delattr(a, name)
+    assert repr(a) == text
+    if isinstance(a, CycleSystem):  # holds a dict
+        with pytest.raises(TypeError):
+            hash(a)
+    else:
+        assert hash(a) == hash(b) and len({a, b}) == 1
+
+
+def test_builtin_spec_default_params_are_read_only():
+    spec = BuiltinSpec("zeta")
+    assert spec.name == "zeta" and dict(spec.params) == {}
+    with pytest.raises(TypeError):
+        spec.params["p"] = 2
+    assert BuiltinSpec("zeta").params == {}
 
 
 class TestBuiltinDispatch:
