@@ -21,7 +21,6 @@ from .dirichlet import DirichletPoly, dilate, div, mul, sparse, zeta_poly, zeta_
 from .factorization import FactorPair, FactorSearchResult, factor_search
 from .identities import Identity, VerifyResult, run
 from .numtheory import (
-    Factorization,
     PrimeSet,
     divisors,
     euler_phi,
@@ -40,8 +39,6 @@ from .operators import (
     union_orbits,
 )
 from .oracle import (
-    CycleSystem,
-    build,
     count_fixed,
     cyclic_subgroup_count,
     primitive_lattice_count,
@@ -49,7 +46,6 @@ from .oracle import (
     simulate_product,
 )
 from .sequences import (
-    BuiltinSpec,
     Sequence,
     View,
     ViewError,

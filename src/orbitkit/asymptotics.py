@@ -71,8 +71,18 @@ def pnt_report(o: Sequence, h: float, c1: float, n_max: int) -> GrowthReport:
         raise ValueError(f"h must be positive, got {h}")
     if not c1 > 0:
         raise ValueError(f"c1 must be positive, got {c1}")
+    if math.isinf(h) or math.isinf(c1):
+        raise ValueError(f"h and c1 must be finite, got h={h}, c1={c1}")
     pi_actual = pi_count(o, n_max)
-    pi_predicted = c1 * math.exp(h * (n_max + 1)) / (n_max * (math.exp(h) - 1.0))
+    try:
+        pi_predicted = c1 * math.exp(h * (n_max + 1)) / (n_max * (math.exp(h) - 1.0))
+    except (OverflowError, ZeroDivisionError):
+        # e^{h(N+1)} overflows or e^h - 1 rounds to 0: take c1 e^{hN} / (N (1 - e^{-h})) in logs
+        log_pi = math.log(c1) + h * n_max - math.log(n_max) - math.log(-math.expm1(-h))
+        try:
+            pi_predicted = math.exp(log_pi)
+        except OverflowError:
+            pi_predicted = math.inf
     mertens_actual = mertens_sum(o, n_max, h)
     return GrowthReport(
         n_max=n_max,

@@ -72,4 +72,8 @@ def _parse_lines(text: str) -> BFile:
 
 
 def format_bfile(values: Iterable[int], start: int = 1) -> str:
-    return "".join(f"{start + i} {v}\n" for i, v in enumerate(values))
+    indices = count(start)
+    try:
+        return "".join(f"{i} {v}\n" for i, v in zip(indices, values))
+    except ValueError as exc:  # a term over the int/str digit limit; zip drew its index last
+        raise BFileFormatError(f"index {next(indices) - 1}: {exc}") from None

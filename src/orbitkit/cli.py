@@ -23,14 +23,7 @@ from .factorization import factor_search
 from .identities import REGISTRY, run
 from .numtheory import PrimeSet
 from .operators import iterate_orbits, product_orbits, union_orbits
-from .sequences import (
-    BuiltinSpec,
-    Sequence,
-    View,
-    builtin,
-    builtin_names,
-    truncate,
-)
+from .sequences import Sequence, View, builtin, builtin_names, truncate
 from .transforms import NotRealizableError, convert
 
 _PRIME_SET_PARAMS = frozenset({"P", "S"})
@@ -83,9 +76,13 @@ def _read_values(path: Optional[str]) -> list[int]:
     return list(parse_bfile(text).values)
 
 
-def _read_sequence(path: Optional[str], view: View, n_terms: Optional[int] = None) -> Sequence:
+def _check_terms(n_terms: Optional[int]) -> None:
     if n_terms is not None and n_terms < 1:
         raise ValueError(f"--terms must be at least 1, got {n_terms}")
+
+
+def _read_sequence(path: Optional[str], view: View, n_terms: Optional[int] = None) -> Sequence:
+    _check_terms(n_terms)
     values = _read_values(path)
     if n_terms is not None:
         if len(values) < n_terms:
@@ -111,8 +108,7 @@ def _write_bfile(values: Vector[int], start: int = 1) -> None:
 
 
 def _cmd_seq(args) -> int:
-    spec = BuiltinSpec(args.name, _parse_params(args.param))
-    seq = builtin(spec, args.terms)
+    seq = builtin(args.name, _parse_params(args.param), args.terms)
     if args.view is not None:
         seq = convert(seq, View(args.view))
     _write_bfile(seq.terms)
@@ -140,6 +136,7 @@ def _cmd_op(args) -> int:
             raise ValueError("iterate takes exactly one --in")
         if args.k is None:
             raise ValueError("iterate requires --k")
+        _check_terms(args.terms)
         available = args.k * args.terms if args.terms is not None else None
         seq = _read_sequence(args.infile[0], View.ORBIT)
         if available is not None:
@@ -190,8 +187,7 @@ def _cmd_verify(args) -> int:
 def _cmd_growth(args) -> int:
     if args.h <= 0:
         raise ValueError("--h must be a positive growth rate")
-    spec = BuiltinSpec(args.name, _parse_params(args.param))
-    orbits = convert(builtin(spec, args.terms), View.ORBIT)
+    orbits = convert(builtin(args.name, _parse_params(args.param), args.terms), View.ORBIT)
     report = pnt_report(orbits, args.h, args.c1, args.terms)
     for name, value in zip(report._fields, report):
         print(f"{name} {value!r}")

@@ -15,50 +15,6 @@ def _require_positive(n: int, name: str = "n") -> None:
         raise ValueError(f"{name} must be a positive integer, got {n!r}")
 
 
-class Factorization:
-    """Prime decomposition as (prime, exponent) pairs, primes ascending."""
-
-    __slots__ = ("pairs",)
-    pairs: tuple[tuple[int, int], ...]
-
-    def __init__(self, pairs: tuple[tuple[int, int], ...]) -> None:
-        object.__setattr__(self, "pairs", pairs)
-        last = 1
-        for p, a in self.pairs:
-            if p <= last:
-                raise ValueError("primes must be distinct and ascending")
-            if a < 1:
-                raise ValueError(f"exponent of {p} must be >= 1, got {a}")
-            last = p
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.pairs == other.pairs
-
-    def __hash__(self) -> int:
-        return hash(self.pairs)
-
-    def __repr__(self) -> str:
-        return f"Factorization(pairs={self.pairs!r})"
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"Factorization is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    @property
-    def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
-
-    def value(self) -> int:
-        """The integer this factorization multiplies back to."""
-        out = 1
-        for p, a in self.pairs:
-            out *= p**a
-        return out
-
-
 def is_prime(n: int) -> bool:
     """Deterministic trial-division primality test."""
     if n < 2:
@@ -77,8 +33,8 @@ def primes_upto(n: int) -> list[int]:
     return [p for p in range(2, n + 1) if is_prime(p)]
 
 
-def factorize(n: int) -> Factorization:
-    """Factor n by trial division; factorize(1) is the empty product."""
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Ascending (prime, exponent) pairs of n by trial division; () for n = 1."""
     _require_positive(n)
     pairs: list[tuple[int, int]] = []
     m = n
@@ -93,7 +49,7 @@ def factorize(n: int) -> Factorization:
         p += 1 if p == 2 else 2
     if m > 1:
         pairs.append((m, 1))
-    return Factorization(tuple(pairs))
+    return tuple(pairs)
 
 
 def divisors(n: int) -> list[int]:
@@ -136,7 +92,7 @@ def sigma_k(n: int, k: int) -> int:
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"k must be a nonnegative integer, got {k!r}")
     out = 1
-    for p, a in factorize(n).pairs:
+    for p, a in factorize(n):
         out *= sum(p ** (k * j) for j in range(a + 1))
     return out
 
@@ -145,7 +101,7 @@ def euler_phi(n: int) -> int:
     """Euler totient."""
     _require_positive(n)
     out = n
-    for p, _ in factorize(n).pairs:
+    for p, _ in factorize(n):
         out = out // p * (p - 1)
     return out
 
@@ -211,7 +167,7 @@ class PrimeSet:
         _require_positive(n)
         if not self.cofinite:
             return any(n % p == 0 for p in self.primes)
-        return any(p not in self.primes for p in factorize(n).primes)
+        return any(p not in self.primes for p, _ in factorize(n))
 
 
 def part(n: int, s: PrimeSet) -> int:
@@ -230,7 +186,7 @@ def part(n: int, s: PrimeSet) -> int:
                 out *= p
         return out
     out = 1
-    for p, a in factorize(n).pairs:
+    for p, a in factorize(n):
         if p not in s.primes:
             out *= p**a
     return out

@@ -64,7 +64,7 @@ def iterate_orbits(o: Sequence, k: int) -> Sequence:
     """
     o.require_view(View.ORBIT, "iterate_orbits")
     n_out = _check_power(k, len(o), "iterate_orbits")
-    k_pairs = factorize(k).pairs
+    k_pairs = factorize(k)
     terms = []
     for n in range(1, n_out + 1):
         q = 1

@@ -1,70 +1,29 @@
 """Brute-force ground truth via explicit unions of cycles.
 
-Everything here is deliberately naive.  An orbit sequence is realized
-as a multiset of cycles; products and iterates are then computed by
-tracing points one step at a time; the paper's gcd/lcm product sum
-referees the fixed-point route of the operators module.  Slow and dumb
-on purpose: these are the referees for the clever routes.
+Everything here is deliberately naive.  An orbit Sequence o is read
+directly as its realization, o(n) cycles of length n for n up to
+len(o); products and iterates are then computed by tracing points one
+step at a time; the paper's gcd/lcm product sum referees the
+fixed-point route of the operators module.  Slow and dumb on purpose:
+these are the referees for the clever routes.
 """
 
 from __future__ import annotations
 
 from math import comb, gcd
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from .numtheory import _require_positive, divisors, euler_phi, mobius
 from .sequences import Sequence, View
 
 
-class CycleSystem:
-    """A multiset of cycle lengths plus the horizon the counts cover.
-
-    ``cycles`` maps length -> count (only nonzero counts are stored);
-    lengths above ``horizon`` are unknown rather than absent.
-    """
-
-    __slots__ = ("cycles", "horizon")
-    cycles: Mapping[int, int]
-    horizon: int
-
-    def __init__(self, cycles: Mapping[int, int], horizon: int) -> None:
-        object.__setattr__(self, "cycles", dict(cycles))
-        object.__setattr__(self, "horizon", horizon)
-        _require_positive(self.horizon, "horizon")
-        for length, count in self.cycles.items():
-            if not 1 <= length <= self.horizon:
-                raise ValueError(f"cycle length {length} outside 1..{self.horizon}")
-            if count < 1:
-                raise ValueError(f"count for length {length} must be >= 1, got {count}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.cycles, self.horizon) == (other.cycles, other.horizon)
-
-    def __repr__(self) -> str:
-        return f"CycleSystem(cycles={self.cycles!r}, horizon={self.horizon!r})"
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"CycleSystem is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-
-def build(o: Sequence) -> CycleSystem:
-    """Realize an orbit sequence as cycles: o[n] cycles of length n."""
-    o.require_view(View.ORBIT, "oracle.build")
-    return CycleSystem(
-        {n: o[n] for n in range(1, len(o) + 1) if o[n]}, horizon=len(o)
-    )
-
-
-def count_fixed(system: CycleSystem, n: int) -> int:
+def count_fixed(o: Sequence, n: int) -> int:
     """Points fixed by the n-th iterate: every point on a cycle whose
     length divides n."""
-    if not 1 <= n <= system.horizon:
-        raise ValueError(f"n={n} exceeds the realized horizon {system.horizon}")
-    return sum(d * system.cycles.get(d, 0) for d in divisors(n))
+    o.require_view(View.ORBIT, "oracle.count_fixed")
+    if not 1 <= n <= len(o):
+        raise ValueError(f"n={n} exceeds the realized horizon {len(o)}")
+    return sum(d * o[d] for d in divisors(n))
 
 
 def product_by_lcm(u: Sequence, v: Sequence) -> Sequence:
@@ -86,7 +45,7 @@ def product_by_lcm(u: Sequence, v: Sequence) -> Sequence:
     return Sequence(View.ORBIT, tuple(terms))
 
 
-def simulate_product(a: CycleSystem, b: CycleSystem, n_terms: int) -> Sequence:
+def simulate_product(u: Sequence, v: Sequence, n_terms: int) -> Sequence:
     """Orbit counts of the product system, found by tracing points.
 
     Works one pair of cycles at a time: lay out the d1 x d2 grid of
@@ -95,15 +54,17 @@ def simulate_product(a: CycleSystem, b: CycleSystem, n_terms: int) -> Sequence:
     pairs with equal lengths trace identically, so each (d1, d2) grid
     is walked once and weighted by count1 * count2.
     """
-    if n_terms > a.horizon or n_terms > b.horizon:
-        raise ValueError(
-            f"n_terms {n_terms} exceeds a horizon ({a.horizon}, {b.horizon})"
-        )
+    u.require_view(View.ORBIT, "oracle.simulate_product")
+    v.require_view(View.ORBIT, "oracle.simulate_product")
+    if n_terms > len(u) or n_terms > len(v):
+        raise ValueError(f"n_terms {n_terms} exceeds a horizon ({len(u)}, {len(v)})")
     _require_positive(n_terms, "n_terms")
     counts = [0] * (n_terms + 1)
-    for d1, c1 in sorted(a.cycles.items()):
-        for d2, c2 in sorted(b.cycles.items()):
+    for d1, c1 in enumerate(u.terms, start=1):
+        for d2, c2 in enumerate(v.terms, start=1):
             weight = c1 * c2
+            if not weight:  # no cycle of length d1 or none of length d2
+                continue
             visited = bytearray(d1 * d2)
             for i in range(d1):
                 for j in range(d2):
@@ -126,17 +87,18 @@ def simulate_product(a: CycleSystem, b: CycleSystem, n_terms: int) -> Sequence:
     return Sequence(View.ORBIT, tuple(counts[1:]))
 
 
-def simulate_iterate(a: CycleSystem, k: int, n_terms: int) -> Sequence:
+def simulate_iterate(o: Sequence, k: int, n_terms: int) -> Sequence:
     """Orbit counts of the k-th iterate, found by walking k steps at a
     time around each cycle."""
+    o.require_view(View.ORBIT, "oracle.simulate_iterate")
     _require_positive(k, "k")
     _require_positive(n_terms, "n_terms")
-    if k * n_terms > a.horizon:
-        raise ValueError(
-            f"need realization to length {k * n_terms}, have {a.horizon}"
-        )
+    if k * n_terms > len(o):
+        raise ValueError(f"need realization to length {k * n_terms}, have {len(o)}")
     counts = [0] * (n_terms + 1)
-    for d, c in sorted(a.cycles.items()):
+    for d, c in enumerate(o.terms, start=1):
+        if not c:
+            continue
         visited = bytearray(d)
         for start in range(d):
             if visited[start]:

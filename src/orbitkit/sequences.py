@@ -14,8 +14,7 @@ vector is never fed to, say, the Euler transform by accident.
 from __future__ import annotations
 
 import enum
-from types import MappingProxyType
-from typing import Mapping, NamedTuple, Union
+from typing import Mapping, Union
 
 from .numtheory import PrimeSet, _require_positive, factorize, part
 
@@ -237,18 +236,11 @@ def a_s(primes: PrimeSet, n_terms: int) -> Sequence:
     terms = []
     for n in range(1, n_terms + 1):
         w = 1
-        for p, a in factorize(n).pairs:
+        for p, a in factorize(n):
             if primes.contains(p):
                 w *= ((p + 1) * p**a - 2) // (p - 1)
         terms.append(w)
     return Sequence(View.ORBIT, tuple(terms))
-
-
-class BuiltinSpec(NamedTuple):
-    """A catalogue name plus its parameters, e.g. ('full_shift', {'a': 2})."""
-
-    name: str
-    params: Mapping[str, Union[int, PrimeSet]] = MappingProxyType({})  # read-only
 
 
 _CATALOGUE = {
@@ -273,17 +265,17 @@ def builtin_names() -> list[str]:
     return sorted(_CATALOGUE)
 
 
-def builtin(spec: BuiltinSpec, n_terms: int) -> Sequence:
-    """Instantiate a catalogue entry to n_terms terms."""
+def builtin(name: str, params: Mapping[str, Union[int, PrimeSet]], n_terms: int) -> Sequence:
+    """Instantiate a catalogue entry, e.g. builtin("full_shift", {"a": 2}, n_terms)."""
     try:
-        wanted, factory = _CATALOGUE[spec.name]
+        wanted, factory = _CATALOGUE[name]
     except KeyError:
         known = ", ".join(builtin_names())
-        raise ValueError(f"unknown builtin {spec.name!r}; known: {known}") from None
-    given = set(spec.params)
+        raise ValueError(f"unknown builtin {name!r}; known: {known}") from None
+    given = set(params)
     if given != set(wanted):
         raise ValueError(
-            f"builtin {spec.name!r} takes parameters {sorted(wanted)}, got {sorted(given)}"
+            f"builtin {name!r} takes parameters {sorted(wanted)}, got {sorted(given)}"
         )
-    args = [spec.params[k] for k in wanted]
+    args = [params[k] for k in wanted]
     return factory(*args, n_terms)

@@ -5,13 +5,20 @@ loops over all pairs instead of divisor tricks, so the library's
 number-theoretic shortcuts are checked against something dumber.
 """
 
+import sys
 from fractions import Fraction
 from math import gcd
 from random import Random
 
+import pytest
 from hypothesis import strategies as st
 
 from orbitkit import Sequence, View
+
+# for tests that set Python's int/str digit limit (3.10.7 and later have one)
+needs_digit_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int/str digit limit"
+)
 
 
 def divisors_brute(n):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitkit import BFile, BFileFormatError, bfile, format_bfile, parse_bfile
-from helpers import outcome
+from helpers import needs_digit_limit, outcome
 
 
 def test_format_canonical():
@@ -157,9 +157,7 @@ def test_canonical_text_never_reaches_the_line_reader(values, start):
         assert parse_bfile(format_bfile(values, start)) == BFile(start, tuple(values))
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int/str digit limit"
-)
+@needs_digit_limit
 def test_term_over_the_digit_limit_names_its_line():
     text = "1 " + "1" * 5000 + "\n"
     old = sys.get_int_max_str_digits()
@@ -171,5 +169,23 @@ def test_term_over_the_digit_limit_names_its_line():
             parse_bfile("# big\n1 1\n" + text.replace("1 ", "2 ", 1))
         sys.set_int_max_str_digits(0)
         assert parse_bfile(text).values == (int("1" * 5000),)
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+@needs_digit_limit
+def test_writing_a_term_over_the_digit_limit_names_its_index():
+    big = 10**5000
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+        with pytest.raises(BFileFormatError, match="^index 2: "):
+            format_bfile([1, big])
+        with pytest.raises(BFileFormatError, match="^index 3: "):
+            format_bfile([big, 1], 3)
+        with pytest.raises(BFileFormatError, match="^index 7: "):
+            BFile(5, (1, 2, big)).to_text()
+        sys.set_int_max_str_digits(0)
+        assert format_bfile([1, big]) == "1 1\n2 1" + "0" * 5000 + "\n"
     finally:
         sys.set_int_max_str_digits(old)

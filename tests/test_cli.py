@@ -1,3 +1,4 @@
+import decimal
 import io
 import json
 import subprocess
@@ -9,10 +10,7 @@ import pytest
 import orbitkit
 from orbitkit.cli import main, parse_prime_set
 from orbitkit import PrimeSet
-
-needs_digit_limit = pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int/str digit limit"
-)
+from helpers import needs_digit_limit
 
 
 def run_cli(capsys, *argv):
@@ -216,6 +214,33 @@ def test_growth_report(capsys):
     assert float(lines["pi_predicted"]) == pytest.approx(2**21 / 20)
 
 
+@pytest.mark.parametrize("h, terms", [("0.693147", "1024"), ("1000", "20"), ("1e-20", "5")])
+def test_growth_past_the_float_range(capsys, h, terms):
+    # e^{h(N+1)} overflows, or e^h - 1 rounds to 0; the prediction itself may still be a float
+    code, out, err = run_cli(
+        capsys, "growth", "--name", "full_shift", "--param", "a=2",
+        "--h", h, "--c1", "1", "--terms", terms,
+    )
+    assert (code, err) == (0, "")
+    lines = dict(line.split(" ", 1) for line in out.splitlines())
+    with decimal.localcontext() as ctx:  # decimal has no overflow at these sizes
+        ctx.prec = 40
+        n, rate = int(terms), decimal.Decimal(float(h))
+        expected = float((rate * (n + 1)).exp() / (n * (rate.exp() - 1)))
+    assert float(lines["pi_predicted"]) == pytest.approx(expected, rel=1e-9)
+
+
+@pytest.mark.parametrize("flag", ["--h", "--c1"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_growth_rejects_non_finite_parameters(capsys, flag, value):
+    given = {"--h": "1", "--c1": "1", flag: value}
+    code, out, err = run_cli(
+        capsys, "growth", "--name", "zeta", "--terms", "5", *(f"{k}={v}" for k, v in given.items())
+    )
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ")
+
+
 def test_growth_rejects_nonpositive_h(capsys):
     code, _, err = run_cli(
         capsys, "growth", "--name", "zeta", "--h", "0", "--c1", "1.0", "--terms", "5"
@@ -290,11 +315,13 @@ def test_non_ascii_input_is_malformed(capsys, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("terms", ["-1", "0"])
-@pytest.mark.parametrize("argv", [("op", "product"), ("op", "union"), ("factor",)])
+@pytest.mark.parametrize(
+    "argv", [("op", "product"), ("op", "union"), ("factor",), ("op", "iterate", "--k", "2")]
+)
 def test_terms_below_one_is_usage_error(capsys, tmp_path, argv, terms):
     f = tmp_path / "s3.b"
     f.write_text("1 1\n2 1\n3 1\n", encoding="ascii")
-    inputs = ["--in", str(f)] * (2 if argv[0] == "op" else 1)
+    inputs = ["--in", str(f)] * (2 if argv[-1] in ("product", "union") else 1)
     code, out, err = run_cli(capsys, *argv, *inputs, "--terms", terms)
     assert code == 2
     assert out == ""

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,10 +31,10 @@ def test_primes_upto():
 
 
 def test_factorize_known():
-    assert factorize(1).pairs == ()
-    assert factorize(12).pairs == ((2, 2), (3, 1))
-    assert factorize(97).pairs == ((97, 1),)
-    assert factorize(2**10 * 3**4).pairs == ((2, 10), (3, 4))
+    assert factorize(1) == ()
+    assert factorize(12) == ((2, 2), (3, 1))
+    assert factorize(97) == ((97, 1),)
+    assert factorize(2**10 * 3**4) == ((2, 10), (3, 4))
 
 
 def test_factorize_rejects_nonpositive():
@@ -44,10 +46,12 @@ def test_factorize_rejects_nonpositive():
 
 @given(st.integers(min_value=1, max_value=5000))
 def test_factorize_roundtrip(n):
-    fac = factorize(n)
-    assert fac.value() == n
-    assert all(is_prime(p) for p in fac.primes)
-    assert list(fac.primes) == sorted(fac.primes)
+    pairs = factorize(n)
+    primes = [p for p, _ in pairs]
+    assert primes == sorted(set(primes))  # distinct and ascending
+    assert all(is_prime(p) for p in primes)
+    assert all(a >= 1 for _, a in pairs)
+    assert math.prod(p**a for p, a in pairs) == n
 
 
 @given(st.integers(min_value=1, max_value=2000))

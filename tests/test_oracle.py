@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitkit import (
-    CycleSystem,
     Sequence,
     View,
-    build,
+    ViewError,
     count_fixed,
     cyclic_subgroup_count,
     iterate_orbits,
@@ -25,41 +24,45 @@ from helpers import product_brute, random_orbit
 from math import gcd
 
 
-def test_cycle_system_construction():
-    sys_ = CycleSystem({2: 3, 5: 1}, horizon=6)
-    assert sys_.cycles[2] == 3
-
-
-def test_cycle_system_validation():
-    with pytest.raises(ValueError):
-        CycleSystem({0: 1}, horizon=4)
-    with pytest.raises(ValueError):
-        CycleSystem({5: 1}, horizon=4)
-    with pytest.raises(ValueError):
-        CycleSystem({2: 0}, horizon=4)
-
-
-def test_build_roundtrip():
-    o = Sequence(View.ORBIT, (2, 0, 1, 4))
-    sys_ = build(o)
-    assert sys_.cycles == {1: 2, 3: 1, 4: 4}
-    assert sys_.horizon == 4
-
-
 def test_count_fixed_matches_transform():
     rng = random.Random(11)
     for _ in range(20):
         o = random_orbit(rng, 18, 4)
-        sys_ = build(o)
         f = orbit_to_fix(o)
         for n in range(1, 19):
-            assert count_fixed(sys_, n) == f[n]
+            assert count_fixed(o, n) == f[n]
 
 
 def test_count_fixed_respects_horizon():
-    sys_ = build(Sequence(View.ORBIT, (1, 1)))
-    with pytest.raises(ValueError):
-        count_fixed(sys_, 3)
+    o = Sequence(View.ORBIT, (1, 1))
+    assert count_fixed(o, 2) == 3
+    with pytest.raises(ValueError, match="horizon 2"):
+        count_fixed(o, 3)
+    with pytest.raises(ValueError, match="horizon 2"):
+        count_fixed(o, 0)
+
+
+def test_simulate_product_respects_horizon():
+    u = Sequence(View.ORBIT, (1, 1, 1))
+    v = Sequence(View.ORBIT, (1, 1))
+    assert simulate_product(u, v, 2) == product_orbits(u, v)
+    with pytest.raises(ValueError, match=r"exceeds a horizon \(3, 2\)"):
+        simulate_product(u, v, 3)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: count_fixed(s, 1),
+        lambda s: simulate_product(s, zeta(3), 1),
+        lambda s: simulate_product(zeta(3), s, 1),
+        lambda s: simulate_iterate(s, 1, 1),
+    ],
+)
+def test_oracle_reads_only_orbit_counts(call):
+    fix = Sequence(View.FIX, (1, 3, 4))
+    with pytest.raises(ViewError, match="expects a orbit sequence, got fix"):
+        call(fix)
 
 
 def test_simulate_product_small():
@@ -67,14 +70,14 @@ def test_simulate_product_small():
     v = Sequence(View.ORBIT, (0, 2))  # two 2-cycles
     # n=2 gets 2 from the fixed point paired with each 2-cycle and
     # 2*2 from the 2-cycle paired with each 2-cycle
-    got = simulate_product(build(u), build(v), 2)
+    got = simulate_product(u, v, 2)
     assert got == product_orbits(u, v)
     assert got.terms == (0, 6)
 
 
 def test_simulate_product_zeta():
     z = zeta(6)
-    got = simulate_product(build(z), build(z), 6)
+    got = simulate_product(z, z, 6)
     assert got.terms == (1, 4, 5, 10, 7, 20)
 
 
@@ -83,7 +86,7 @@ def test_simulate_product_random():
     for _ in range(60):
         u = random_orbit(rng, 10, 3)
         v = random_orbit(rng, 10, 3)
-        assert simulate_product(build(u), build(v), 10) == product_orbits(u, v)
+        assert simulate_product(u, v, 10) == product_orbits(u, v)
 
 
 @given(
@@ -99,7 +102,7 @@ def test_product_by_lcm_matches_brute(u_terms, v_terms):
 
 def test_simulate_iterate_small():
     o = Sequence(View.ORBIT, (1, 1, 0, 1))
-    got = simulate_iterate(build(o), 2, 2)
+    got = simulate_iterate(o, 2, 2)
     assert got == iterate_orbits(o, 2)
 
 
@@ -108,13 +111,14 @@ def test_simulate_iterate_random():
     for _ in range(60):
         o = random_orbit(rng, 12, 3)
         k = rng.randint(1, 6)
-        assert simulate_iterate(build(o), k, 12 // k) == iterate_orbits(o, k)
+        assert simulate_iterate(o, k, 12 // k) == iterate_orbits(o, k)
 
 
 def test_simulate_iterate_horizon_guard():
     o = Sequence(View.ORBIT, (1, 1, 1, 1))
     with pytest.raises(ValueError):
-        simulate_iterate(build(o), 3, 2)  # needs 6 > horizon 4
+        simulate_iterate(o, 3, 2)  # needs 6 > horizon 4
+    assert simulate_iterate(o, 2, 2) == iterate_orbits(o, 2)
 
 
 def brute_cyclic_subgroups(n):

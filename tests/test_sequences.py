@@ -4,10 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from orbitkit import (
-    BuiltinSpec,
-    CycleSystem,
     DirichletPoly,
-    Factorization,
     PrimeSet,
     Sequence,
     View,
@@ -186,9 +183,7 @@ CONTAINERS = [
         ("coeffs",),
         "DirichletPoly(coeffs=(1, Fraction(1, 2)))",
     ),
-    (lambda: Factorization(((2, 3),)), ("pairs",), "Factorization(pairs=((2, 3),))"),
     (lambda: PrimeSet(True, (2,)), ("cofinite", "primes"), "PrimeSet(cofinite=True, primes=(2,))"),
-    (lambda: CycleSystem({1: 2}, 3), ("cycles", "horizon"), "CycleSystem(cycles={1: 2}, horizon=3)"),
 ]
 
 
@@ -204,19 +199,7 @@ def test_containers_are_immutable_values(make, names, text):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert repr(a) == text
-    if isinstance(a, CycleSystem):  # holds a dict
-        with pytest.raises(TypeError):
-            hash(a)
-    else:
-        assert hash(a) == hash(b) and len({a, b}) == 1
-
-
-def test_builtin_spec_default_params_are_read_only():
-    spec = BuiltinSpec("zeta")
-    assert spec.name == "zeta" and dict(spec.params) == {}
-    with pytest.raises(TypeError):
-        spec.params["p"] = 2
-    assert BuiltinSpec("zeta").params == {}
+    assert hash(a) == hash(b) and len({a, b}) == 1
 
 
 class TestBuiltinDispatch:
@@ -226,24 +209,28 @@ class TestBuiltinDispatch:
         assert "golden_mean" in names and "a_S" in names
 
     def test_simple(self):
-        assert builtin(BuiltinSpec("zeta"), 4) == zeta(4)
+        assert builtin("zeta", {}, 4) == zeta(4)
 
     def test_with_params(self):
-        assert builtin(BuiltinSpec("full_shift", {"a": 3}), 4) == full_shift(3, 4)
-        got = builtin(BuiltinSpec("s_P", {"P": PrimeSet.finite((2,))}), 6)
+        assert builtin("full_shift", {"a": 3}, 4) == full_shift(3, 4)
+        got = builtin("s_P", {"P": PrimeSet.finite((2,))}, 6)
         assert got == s_p(PrimeSet.finite((2,)), 6)
 
     def test_unknown_name(self):
         with pytest.raises(ValueError, match="unknown builtin"):
-            builtin(BuiltinSpec("nope"), 4)
+            builtin("nope", {}, 4)
 
     def test_missing_param(self):
         with pytest.raises(ValueError, match="takes parameters"):
-            builtin(BuiltinSpec("geometric"), 4)
+            builtin("geometric", {}, 4)
 
     def test_extra_param(self):
         with pytest.raises(ValueError, match="takes parameters"):
-            builtin(BuiltinSpec("zeta", {"p": 2}), 4)
+            builtin("zeta", {"p": 2}, 4)
+        # parameter names never meet the function's own argument names
+        for key in ("name", "params", "n_terms"):
+            with pytest.raises(ValueError, match="takes parameters"):
+                builtin("geometric", {"p": 2, key: 3}, 4)
 
 
 @given(st.integers(min_value=2, max_value=9), st.integers(min_value=1, max_value=30))
