@@ -137,6 +137,8 @@ def _cmd_op(args) -> int:
         if args.k is None:
             raise ValueError("iterate requires --k")
         _check_terms(args.terms)
+        if args.k < 1:  # before --terms is multiplied by it
+            raise ValueError(f"iterate_orbits needs an integer power k >= 1, got {args.k}")
         available = args.k * args.terms if args.terms is not None else None
         seq = _read_sequence(args.infile[0], View.ORBIT)
         if available is not None:
@@ -199,21 +201,16 @@ def _cmd_factor(args) -> int:
     result = factor_search(target, len(target), limit=args.limit)
     if args.json:
         import json  # only this output needs it; the other commands start without it
-        payload = {
-            "pairs": [
-                {"left": list(p.left.terms), "right": list(p.right.terms)}
-                for p in result.pairs
-            ],
-            "truncated": result.truncated,
-        }
+        payload = {"pairs": [p._asdict() for p in result.pairs], "truncated": result.truncated}
         print(json.dumps(payload, sort_keys=True))
         return 0
     print(f"pairs {len(result.pairs)}")
     print(f"truncated {'true' if result.truncated else 'false'}")
-    for pair in result.pairs:
-        left = " ".join(map(str, pair.left.terms))
-        right = " ".join(map(str, pair.right.terms))
-        print(f"{left} | {right}")
+    # few distinct values fill many pairs: convert each to decimal once
+    distinct = set().union(*(side for pair in result.pairs for side in pair))
+    decimal = {t: str(t) for t in distinct}.__getitem__
+    for left, right in result.pairs:
+        print(" ".join(map(decimal, left)), "|", " ".join(map(decimal, right)))
     return 0
 
 

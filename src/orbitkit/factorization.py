@@ -8,10 +8,16 @@ index n is one factorization of the target's fixed-point count:
     F_T(n) = (A + n * u(n)) * (B + n * v(n))
 
 with A, B the fixed-point sums of u, v over the proper divisors of n.
+
+The choices at n read u and v only at proper divisors of n, and no
+index above N/2 divides another index up to N.  So once u and v are
+fixed on 1..N/2 the upper indices choose independently: the search runs
+depth-first over 1..N/2 and takes the Cartesian product of the rest.
 """
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator, NamedTuple
 
 from .numtheory import divisors
@@ -20,8 +26,8 @@ from .transforms import orbit_to_fix
 
 
 class FactorPair(NamedTuple):
-    left: Sequence
-    right: Sequence
+    left: tuple[int, ...]  # u(1..N), indexed from zero
+    right: tuple[int, ...]
 
 
 class FactorSearchResult(NamedTuple):
@@ -51,27 +57,30 @@ def factor_search(
     proper = [divisors(m)[:-1] for m in range(1, n + 1)]
     u = [0] * (n + 1)
     v = [0] * (n + 1)
+    half = n // 2
     found: list[FactorPair] = []
-    # stack[m - 1] yields the choices of (u(m), v(m)); depth-first, so
-    # indices below m stay fixed while it is live
-    stack = [_choices(fix, 1, u, v, proper)]
+    # stack[m] yields the choices of (u(m), v(m)), indices below m fixed while
+    # it is live; placeholder index 0 has one choice, so n = 1 has one prefix
+    stack = [iter(((0, 0),))]
     while stack:
-        m = len(stack)
+        m = len(stack) - 1
         choice = next(stack[-1], None)
         if choice is None:
             stack.pop()
             continue
         u[m], v[m] = choice
-        if m < n:
+        if m < half:
             stack.append(_choices(fix, m + 1, u, v, proper))
             continue
-        if len(found) >= limit:
-            return FactorSearchResult(tuple(found), True)
-        found.append(
-            FactorPair(
-                Sequence(View.ORBIT, tuple(u[1:])), Sequence(View.ORBIT, tuple(v[1:]))
-            )
-        )
+        upper = [list(_choices(fix, k, u, v, proper)) for k in range(half + 1, n + 1)]
+        left, right = tuple(u[1 : half + 1]), tuple(v[1 : half + 1])
+        # the last index varies fastest and each list ascends in u(k), so
+        # the pairs stay in lexicographic order of the left factor
+        for rest in product(*upper):
+            if len(found) >= limit:
+                return FactorSearchResult(tuple(found), True)
+            us, vs = zip(*rest)
+            found.append(FactorPair(left + us, right + vs))
     return FactorSearchResult(tuple(found), False)
 
 

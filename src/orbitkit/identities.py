@@ -842,6 +842,11 @@ def _lattice_prime_powers(n: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _product(left: tuple, right: tuple) -> Sequence:
+    """The product of a factor pair, which the search returns as plain tuples."""
+    return operators.product_orbits(Sequence(View.ORBIT, left), Sequence(View.ORBIT, right))
+
+
 @identity("zeta-factorization", 10, "zeta splits exactly into prime-set indicator pairs")
 def _zeta_factor(n: int) -> None:
     target = zeta(n)
@@ -851,16 +856,15 @@ def _zeta_factor(n: int) -> None:
     expected_count = 2 ** len(primes_upto(n))
     if len(result.pairs) != expected_count:
         raise Mismatch(None, f"found {len(result.pairs)} pairs, expected {expected_count}")
-    seen = set()
-    for pair in result.pairs:
-        excluded = tuple(p for p in primes_upto(n) if pair.left[p] == 0)
-        if pair.left != s_p(PrimeSet.finite(excluded), n):
+    for left, right in result.pairs:
+        excluded = tuple(p for p in primes_upto(n) if left[p - 1] == 0)
+        if left != s_p(PrimeSet.finite(excluded), n).terms:
             raise Mismatch(None, "left factor is not a prime-set indicator")
-        if pair.right != s_p(PrimeSet.all_except(excluded), n):
+        if right != s_p(PrimeSet.all_except(excluded), n).terms:
             raise Mismatch(None, "right factor is not the complementary indicator")
-        if operators.product_orbits(pair.left, pair.right) != target:
+        if _product(left, right) != target:
             raise Mismatch(None, "pair does not multiply back to zeta")
-        seen.add((pair.left.terms, pair.right.terms))
+    seen = set(result.pairs)
     for left, right in seen:
         if (right, left) not in seen:
             raise Mismatch(None, "result set is not swap-symmetric")
@@ -879,11 +883,10 @@ def _three_smooth(n: int) -> None:
         if target[m] != (1 if rest == 1 else 0):
             raise Mismatch(m, "product is not the 3-smooth indicator")
     result = factor_search(target, n)
-    pairs = {(p.left.terms, p.right.terms) for p in result.pairs}
-    if (feig.terms, tern.terms) not in pairs:
+    if (feig.terms, tern.terms) not in result.pairs:
         raise Mismatch(None, "original factor pair not found")
-    for pair in result.pairs:
-        if operators.product_orbits(pair.left, pair.right) != target:
+    for left, right in result.pairs:
+        if _product(left, right) != target:
             raise Mismatch(None, "a reported pair does not multiply back")
 
 

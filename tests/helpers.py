@@ -109,6 +109,46 @@ def iterate_brute(o: Sequence, k: int):
     return out
 
 
+def factor_search_dfs(target: Sequence, n_terms: int, limit: int):
+    """Factor pairs of target to length n_terms as (pairs, truncated): a
+    depth-first search over every index, each pair a (left, right) of
+    tuples, in lexicographic order of the left factor, at most limit of
+    them.  The search the library ran before it combined the indices
+    above n/2 as one Cartesian product, kept as that search's referee.
+    """
+    fix = fix_from_orbit_brute(target)
+    proper = [divisors_brute(m)[:-1] for m in range(1, n_terms + 1)]
+    u = [0] * (n_terms + 1)
+    v = [0] * (n_terms + 1)
+
+    def choices(m):
+        # F_T(m) = (A + m u(m)) (B + m v(m)), by ascending u(m)
+        f = fix[m - 1]
+        a = sum(d * u[d] for d in proper[m - 1])
+        b = sum(d * v[d] for d in proper[m - 1])
+        for fu in range(a or m, f // max(b, 1) + 1, m):
+            fv, remainder = divmod(f, fu)
+            if remainder == 0 and (fv - b) % m == 0:
+                yield (fu - a) // m, (fv - b) // m
+
+    found = []
+    stack = [choices(1)]
+    while stack:
+        m = len(stack)
+        choice = next(stack[-1], None)
+        if choice is None:
+            stack.pop()
+            continue
+        u[m], v[m] = choice
+        if m < n_terms:
+            stack.append(choices(m + 1))
+            continue
+        if len(found) >= limit:
+            return found, True
+        found.append((tuple(u[1:]), tuple(v[1:])))
+    return found, False
+
+
 def random_orbit(rng: Random, n: int, max_term: int) -> Sequence:
     return Sequence(View.ORBIT, tuple(rng.randint(0, max_term) for _ in range(n)))
 

@@ -227,10 +227,10 @@ def _indicator_factorization():
     result = factor_search(zeta(10), 10)
     assert not result.truncated
     assert len(result.pairs) == 16
-    for pair in result.pairs:
-        excluded = tuple(p for p in primes_upto(10) if pair.left[p] == 0)
-        assert pair.left == s_p(PrimeSet.finite(excluded), 10)
-        assert pair.right == s_p(PrimeSet.all_except(excluded), 10)
+    for left, right in result.pairs:
+        excluded = tuple(p for p in primes_upto(10) if left[p - 1] == 0)
+        assert left == s_p(PrimeSet.finite(excluded), 10).terms
+        assert right == s_p(PrimeSet.all_except(excluded), 10).terms
 
 
 def test_c08():

@@ -1,6 +1,7 @@
 import decimal
 import io
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -9,8 +10,9 @@ import pytest
 
 import orbitkit
 from orbitkit.cli import main, parse_prime_set
-from orbitkit import PrimeSet
-from helpers import needs_digit_limit
+from orbitkit import PrimeSet, Sequence, View, product_orbits
+from orbitkit.sequences import id_orbits, zeta
+from helpers import factor_search_dfs, needs_digit_limit
 
 
 def run_cli(capsys, *argv):
@@ -136,6 +138,15 @@ def test_op_iterate_requires_k(capsys, tmp_path):
     code, _, err = run_cli(capsys, "op", "iterate", "--in", str(f))
     assert code == 2
     assert "--k" in err
+
+
+@pytest.mark.parametrize("k, terms", [("0", "2"), ("-1", "100")])
+def test_op_iterate_names_a_bad_power_before_the_terms(capsys, tmp_path, k, terms):
+    f = tmp_path / "z6.b"
+    f.write_text("".join(f"{n} 1\n" for n in range(1, 7)), encoding="ascii")
+    code, out, err = run_cli(capsys, "op", "iterate", "--in", str(f), "--k", k, "--terms", terms)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: iterate_orbits needs an integer power k >= 1, got {k}\n"
 
 
 def test_op_product_needs_two_inputs(capsys, tmp_path):
@@ -268,6 +279,28 @@ def test_factor_json_output(capsys, tmp_path):
     assert payload["truncated"] is False
     assert len(payload["pairs"]) == 8
     assert {"left", "right"} <= set(payload["pairs"][0])
+
+
+def _random_product():
+    rng = random.Random(0)
+    u, v = (Sequence(View.ORBIT, tuple(rng.randint(1, 40) for _ in range(8))) for _ in "uv")
+    return product_orbits(u, v)
+
+
+@pytest.mark.parametrize("target, limit", [
+    (zeta(12), 10_000),
+    (id_orbits(24), 50),
+    (_random_product(), 10_000),  # terms of up to four digits
+])
+def test_factor_text_matches_the_plain_rendering(capsys, tmp_path, target, limit):
+    f = tmp_path / "target.b"
+    f.write_text("".join(f"{n} {t}\n" for n, t in enumerate(target, 1)), encoding="ascii")
+    pairs, truncated = factor_search_dfs(target, len(target), limit)
+    expected = [f"pairs {len(pairs)}", f"truncated {str(truncated).lower()}"]
+    expected += [f"{' '.join(map(str, left))} | {' '.join(map(str, right))}" for left, right in pairs]
+    code, out, _ = run_cli(capsys, "factor", "--in", str(f), "--limit", str(limit))
+    assert code == 0
+    assert out == "\n".join(expected) + "\n"
 
 
 def test_export_import_roundtrip(capsys, tmp_path):

@@ -2,24 +2,29 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbitkit import PrimeSet, Sequence, View, factor_search, product_orbits
 from orbitkit.sequences import delta, feigenbaum, s_p, ternary, zeta
-from helpers import fix_from_orbit_brute, product_brute, random_orbit
+from helpers import factor_search_dfs, fix_from_orbit_brute, product_brute, random_orbit
+
+
+def orbits(terms):
+    return Sequence(View.ORBIT, terms)
 
 
 def test_delta_factors_uniquely():
     result = factor_search(delta(5), 5)
     assert not result.truncated
     assert len(result.pairs) == 1
-    assert result.pairs[0].left == delta(5)
-    assert result.pairs[0].right == delta(5)
+    assert result.pairs[0].left == delta(5).terms
+    assert result.pairs[0].right == delta(5).terms
 
 
 def test_single_term_enumerates_divisor_pairs():
     result = factor_search(Sequence(View.ORBIT, (12,)), 1)
-    lefts = [p.left[1] for p in result.pairs]
-    rights = [p.right[1] for p in result.pairs]
+    lefts = [p.left[0] for p in result.pairs]
+    rights = [p.right[0] for p in result.pairs]
     assert lefts == [1, 2, 3, 4, 6, 12]
     assert rights == [12, 6, 4, 3, 2, 1]
 
@@ -28,16 +33,16 @@ def test_zeta_ten_has_sixteen_pairs():
     result = factor_search(zeta(10), 10)
     assert not result.truncated
     assert len(result.pairs) == 16
-    for pair in result.pairs:
-        assert product_orbits(pair.left, pair.right) == zeta(10)
-        excluded = tuple(p for p in (2, 3, 5, 7) if pair.left[p] == 0)
-        assert pair.left == s_p(PrimeSet.finite(excluded), 10)
-        assert pair.right == s_p(PrimeSet.all_except(excluded), 10)
+    for left, right in result.pairs:
+        assert product_orbits(orbits(left), orbits(right)) == zeta(10)
+        excluded = tuple(p for p in (2, 3, 5, 7) if left[p - 1] == 0)
+        assert left == s_p(PrimeSet.finite(excluded), 10).terms
+        assert right == s_p(PrimeSet.all_except(excluded), 10).terms
 
 
 def test_pairs_sorted_by_left_factor():
     result = factor_search(zeta(10), 10)
-    lefts = [p.left.terms for p in result.pairs]
+    lefts = [p.left for p in result.pairs]
     assert lefts == sorted(lefts)
 
 
@@ -55,10 +60,10 @@ def test_truncation_flag():
 def test_smooth_product_recovered():
     target = product_orbits(feigenbaum(12), ternary(12))
     result = factor_search(target, 12)
-    pairs = {(p.left.terms, p.right.terms) for p in result.pairs}
+    pairs = set(result.pairs)
     assert (feigenbaum(12).terms, ternary(12).terms) in pairs
-    for pair in result.pairs:
-        assert product_orbits(pair.left, pair.right) == target
+    for left, right in result.pairs:
+        assert product_orbits(orbits(left), orbits(right)) == target
 
 
 def test_random_products_always_recovered():
@@ -71,18 +76,18 @@ def test_random_products_always_recovered():
             continue
         target = product_orbits(u, v)
         result = factor_search(target, 6, limit=5000)
-        pairs = {(p.left.terms, p.right.terms) for p in result.pairs}
+        pairs = set(result.pairs)
         if not result.truncated:
             assert (u.terms, v.terms) in pairs
             found += 1
-        for pair in result.pairs:
-            assert product_orbits(pair.left, pair.right) == target
+        for left, right in result.pairs:
+            assert product_orbits(orbits(left), orbits(right)) == target
     assert found >= 5
 
 
 def test_result_is_swap_symmetric():
     result = factor_search(zeta(8), 8)
-    pairs = {(p.left.terms, p.right.terms) for p in result.pairs}
+    pairs = set(result.pairs)
     assert all((r, l) in pairs for l, r in pairs)
 
 
@@ -106,4 +111,25 @@ def test_matches_exhaustive_referee():
         ]
         result = factor_search(target, n)
         assert not result.truncated
-        assert [(p.left.terms, p.right.terms) for p in result.pairs] == expected
+        assert list(result.pairs) == expected
+
+
+@st.composite
+def search_cases(draw):
+    """A product of two random orbit vectors, or a random vector that is
+    mostly not one, with a prefix length and a limit."""
+    n = draw(st.integers(1, 10))
+    vector = st.tuples(st.integers(1, 3), *[st.integers(0, 3)] * (n - 1))
+    if draw(st.booleans()):
+        target = product_orbits(orbits(draw(vector)), orbits(draw(vector)))
+    else:
+        target = orbits(draw(vector))
+    return target, draw(st.integers(1, n)), draw(st.sampled_from([1, 2, 3, 5, 10_000]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases())
+def test_matches_depth_first_referee(case):
+    target, n_terms, limit = case
+    result = factor_search(target, n_terms, limit)
+    assert (list(result.pairs), result.truncated) == factor_search_dfs(target, n_terms, limit)
