@@ -14,7 +14,7 @@ from typing import Iterable, NamedTuple
 
 
 _FIELD = re.compile(r"-?[0-9]+")
-_FIELD_CHARS = re.compile(r"[0-9-]+")
+_DROP_FIELD_CHARS = str.maketrans("", "", "0123456789-")
 
 
 class BFileFormatError(ValueError):
@@ -34,7 +34,7 @@ def parse_bfile(text: str) -> BFile:
     # Canonical text is "<field> <field>\n" on every line: removing the field
     # characters leaves one " \n" per line, and no field is empty.
     lines = text.count("\n")
-    if lines and _FIELD_CHARS.sub("", text) == " \n" * lines:
+    if lines and text.translate(_DROP_FIELD_CHARS) == " \n" * lines:
         tokens = text.split()
         if len(tokens) == 2 * lines:
             try:

@@ -8,12 +8,13 @@ exist only at the export/import boundary.
 Exit codes: 0 success, 1 verification failure (including
 non-realizable inputs), 2 usage error, 3 malformed input (including
 non-ASCII bytes and negative terms read as orbit, fix or monoid data),
-4 internal error.
+4 internal error; a reader closing stdout early (``| head``) is no error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence as Vector
 
@@ -294,7 +295,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(0)  # exact terms may have any number of digits
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at shutdown
+        return code
     except SystemExit as exc:  # from argparse, after it printed usage or help
         return exc.code if isinstance(exc.code, int) else 2
     except BFileFormatError as exc:
@@ -303,6 +306,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NotRealizableError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:  # shutdown flushes what is left into devnull, silently
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (OSError, ValueError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

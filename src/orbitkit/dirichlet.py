@@ -6,14 +6,17 @@ Multiplication is Dirichlet convolution truncated to N; division is
 the unique exact inverse when the divisor has a nonzero leading
 coefficient.  Identities involving infinite Euler products are checked
 in cleared-denominator form, so only these finite objects ever exist.
+Multiplying and dividing by zeta run on its Euler product instead, one
+slice pass per prime power; the harmonic mul and div are their referee.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, sub
 from typing import Iterable, Union
 
-from .numtheory import _require_positive
+from .numtheory import _require_positive, primes_upto
 from .sequences import Sequence
 
 Rational = Union[int, Fraction]
@@ -137,6 +140,27 @@ def div(a: DirichletPoly, b: DirichletPoly) -> DirichletPoly:
             for i, be in zip(range(2 * d - 1, n_out, d), b_rest):
                 out[i] -= c * be
     return DirichletPoly(tuple(out))
+
+
+def times_zeta(a: Iterable[Rational]) -> list[Rational]:
+    """Divisor sums of a: a times zeta = prod_p (1 + p^-s)(1 + p^-2s)(1 + p^-4s)..."""
+    out = list(a)
+    n = len(out)
+    for p in primes_upto(n):
+        q = p
+        while q <= n:
+            out[q - 1 :: q] = map(add, out[q - 1 :: q], out[: n // q])
+            q *= q
+    return out
+
+
+def over_zeta(a: Iterable[Rational]) -> list[Rational]:
+    """Moebius sums of a: a divided by zeta, times (1 - p^-s) for each prime p."""
+    out = list(a)
+    n = len(out)
+    for p in primes_upto(n):
+        out[p - 1 :: p] = map(sub, out[p - 1 :: p], out[: n // p])
+    return out
 
 
 def dilate(a: DirichletPoly, k: int) -> DirichletPoly:

@@ -1,12 +1,14 @@
 """Exact elementary number theory used throughout the library.
 
-Plain trial division: whole-vector divisor sums run as harmonic loops in
-dirichlet, so these per-n calls serve only identities, referees and the
-factor search, and sieves are out of scope.  Everything is exact ints.
+Plain trial division: whole-vector divisor sums run in dirichlet, so these
+per-n calls serve only identities, referees and the factor search.  The one
+sieve lists the primes for dirichlet's Euler-product kernels.  Exact ints.
 """
 
 from __future__ import annotations
 
+from itertools import compress
+from math import isqrt
 from typing import Iterable
 
 
@@ -30,7 +32,14 @@ def is_prime(n: int) -> bool:
 
 
 def primes_upto(n: int) -> list[int]:
-    return [p for p in range(2, n + 1) if is_prime(p)]
+    """The primes up to n, ascending, by the sieve of Eratosthenes."""
+    if n < 2:
+        return []
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 1)
+    for p in range(2, isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes((n - p * p) // p + 1)
+    return list(compress(range(n + 1), sieve))
 
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:

@@ -1,8 +1,8 @@
 """Transforms between the three views of one system's counting data.
 
 orbit -> fix is the divisor sum F(n) = sum_{d|n} d * O(d): the series
-n*O(n) times zeta, by dirichlet.mul.  fix -> orbit is its Moebius
-inversion: dirichlet.div by zeta.  orbit <-> monoid is the Euler
+n*O(n) times zeta, by dirichlet.times_zeta.  fix -> orbit is its Moebius
+inversion: dirichlet.over_zeta.  orbit <-> monoid is the Euler
 transform, computed through n*G(n) = F(n) + sum_{k<n} F(k) G(n-k).
 All arithmetic is exact; failures of integrality or positivity are how
 non-realizable inputs announce themselves.
@@ -54,16 +54,14 @@ class Realizability(NamedTuple):
 def orbit_to_fix(o: Sequence) -> Sequence:
     """F(n) = sum_{d|n} d * O(d): the series n*O(n) times zeta."""
     o.require_view(View.ORBIT, "orbit_to_fix")
-    n_o = dirichlet.from_coeffs(map(mul, range(1, len(o) + 1), o.terms))
-    return Sequence(View.FIX, dirichlet.mul(n_o, dirichlet.zeta_poly(len(o))).coeffs)
+    n_o = map(mul, range(1, len(o) + 1), o.terms)
+    return Sequence(View.FIX, tuple(dirichlet.times_zeta(n_o)))
 
 
 def _invert_fix_terms(terms: Vector[int]) -> list[int]:
     """O(n) = (1/n) sum_{d|n} mu(n/d) F(d), exactly: F divided by zeta."""
-    zeta = dirichlet.zeta_poly(len(terms))
-    totals = dirichlet.div(dirichlet.from_coeffs(terms), zeta)
     out: list[int] = []
-    for n, total in enumerate(totals, start=1):
+    for n, total in enumerate(dirichlet.over_zeta(terms), start=1):
         q, r = divmod(total, n)
         if r:
             raise NonIntegralError(n)

@@ -1,6 +1,7 @@
 import decimal
 import io
 import json
+import os
 import random
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import pytest
 
 import orbitkit
 from orbitkit.cli import main, parse_prime_set
-from orbitkit import PrimeSet, Sequence, View, product_orbits
+from orbitkit import PrimeSet, Sequence, View, format_bfile, product_orbits
 from orbitkit.sequences import id_orbits, zeta
 from helpers import factor_search_dfs, needs_digit_limit
 
@@ -444,6 +445,25 @@ def test_cli_import_skips_dataclasses_and_json():
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True
     )
     assert done.stdout == "[]\n"
+
+
+def test_closed_stdout_is_not_an_error(tmp_path):
+    # like `| head -n 1`: the reader takes one line and closes the pipe while
+    # factor still has about 360 KB to write
+    src = str(Path(orbitkit.__file__).resolve().parent.parent)
+    f = tmp_path / "id40.b"
+    f.write_text(format_bfile(id_orbits(40).terms), encoding="ascii")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "orbitkit.cli", "factor", "--limit", "2000", "--in", str(f)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.stdout.readline() == b"pairs 2000\n"
+    proc.stdout.close()
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 0
 
 
 def test_factor_deep_input(capsys, tmp_path):

@@ -1,10 +1,11 @@
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitkit import DirichletPoly, dilate, div, mul, sparse, zeta_poly, zeta_shift
-from orbitkit.dirichlet import delta_poly, from_coeffs, from_sequence
+from orbitkit.dirichlet import delta_poly, from_coeffs, from_sequence, over_zeta, times_zeta
 from orbitkit.sequences import delta, id_orbits, zeta
 from orbitkit import product_orbits
 from helpers import (
@@ -190,3 +191,49 @@ def test_rational_div_matches_all_pairs_referee(a_coeffs, b_coeffs):
         return
     got = div(from_coeffs(a_coeffs), from_coeffs(b_coeffs))
     assert list(got) == dirichlet_div_brute(a_coeffs, b_coeffs)
+
+
+@st.composite
+def zeta_kernel_inputs(draw, max_size):
+    """1..max_size coefficients: small ints of either sign, Fractions, ints of
+    up to 3000 digits, or a mix.  A seeded Random builds the long lists, which
+    would overrun hypothesis's own buffer."""
+    n = draw(st.integers(min_value=1, max_value=max_size))
+    kind = draw(st.sampled_from(("int", "fraction", "huge", "mixed")))
+    rng = Random(draw(st.integers(min_value=0, max_value=2**32)))
+
+    def term():
+        k = rng.choice(("int", "fraction", "huge")) if kind == "mixed" else kind
+        if k == "int":
+            return rng.randint(-50, 50)
+        if k == "fraction":
+            return Fraction(rng.randint(-50, 50), rng.randint(1, 12))
+        return rng.randint(-(10**3000), 10**3000)
+
+    return [term() for _ in range(n)]
+
+
+@given(zeta_kernel_inputs(400))
+@settings(max_examples=100, deadline=None)
+def test_zeta_kernels_match_the_harmonic_loops(coeffs):
+    a, zeta = from_coeffs(coeffs), zeta_poly(len(coeffs))
+    times, over = times_zeta(coeffs), over_zeta(coeffs)
+    assert times == list(mul(a, zeta))
+    assert over == list(div(a, zeta))
+    if all(type(c) is int for c in coeffs):
+        assert all(type(c) is int for c in times + over)
+
+
+@given(zeta_kernel_inputs(60))
+@settings(max_examples=60, deadline=None)
+def test_zeta_kernels_match_all_pairs_referee(coeffs):
+    ones = [1] * len(coeffs)
+    assert times_zeta(coeffs) == dirichlet_mul_brute(coeffs, ones)
+    assert over_zeta(coeffs) == dirichlet_div_brute(coeffs, ones)
+
+
+def test_zeta_kernels_known_values():
+    # zeta times zeta counts divisors; Moebius is delta divided by zeta
+    assert times_zeta([1] * 12) == [1, 2, 2, 3, 2, 4, 2, 4, 3, 4, 2, 6]
+    assert over_zeta([1] + [0] * 11) == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1, -1, 0]
+    assert times_zeta([]) == over_zeta([]) == []

@@ -30,6 +30,12 @@ def test_primes_upto():
     assert len(primes_upto(1000)) == 168
 
 
+def test_primes_upto_matches_trial_division():
+    reference = [p for p in range(3001) if is_prime(p)]
+    for n in range(-3, 3001):
+        assert primes_upto(n) == [p for p in reference if p <= n]
+
+
 def test_factorize_known():
     assert factorize(1) == ()
     assert factorize(12) == ((2, 2), (3, 1))

@@ -1,3 +1,5 @@
+from random import Random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -78,6 +80,43 @@ def test_invert_fix_matches_brute(terms):
     if isinstance(expected, list):
         assert report.ok
         assert list(fix_to_orbit(f)) == expected
+    else:
+        assert (report.ok, report.index, report.kind) == (False, *expected)
+        with pytest.raises(NotRealizableError) as err:
+            fix_to_orbit(f)
+        assert (err.value.index, err.value.kind) == expected
+
+
+@st.composite
+def deep_fix_data(draw):
+    """An orbit vector of 1..400 terms, small or of about 3000 digits, its fix
+    counts, and the fix counts with one term nudged: mostly not realizable,
+    with the first failure anywhere."""
+    n = draw(st.integers(min_value=1, max_value=400))
+    digits = draw(st.sampled_from((2, 3000)))
+    rng = Random(draw(st.integers(min_value=0, max_value=2**32)))
+    o = Sequence(View.ORBIT, tuple(rng.randrange(10**digits) for _ in range(n)))
+    fix = fix_from_orbit_brute(o)
+    bad = list(fix)
+    i = draw(st.integers(min_value=0, max_value=n - 1))
+    if draw(st.booleans()):
+        bad[i] += draw(st.integers(min_value=1, max_value=i + 1))
+    else:  # integral, and O(i + 1) negative unless clamping at 0 breaks integrality
+        bad[i] = max(0, bad[i] - (i + 1) * (o[i + 1] + draw(st.integers(1, 3))))
+    return o, fix, bad
+
+
+@given(deep_fix_data())
+@settings(max_examples=60, deadline=None)
+def test_long_and_huge_data_match_brute(data):
+    o, fix, bad = data
+    assert list(orbit_to_fix(o)) == fix
+    assert fix_to_orbit(Sequence(View.FIX, tuple(fix))) == o
+    expected = invert_fix_brute(bad)
+    f = Sequence(View.FIX, tuple(bad))
+    report = realizable_as_fix(f)
+    if isinstance(expected, list):
+        assert report.ok and list(fix_to_orbit(f)) == expected
     else:
         assert (report.ok, report.index, report.kind) == (False, *expected)
         with pytest.raises(NotRealizableError) as err:
