@@ -25,9 +25,6 @@ class BFile(NamedTuple):
     start: int
     values: tuple[int, ...]
 
-    def to_text(self) -> str:
-        return format_bfile(self.values, self.start)
-
 
 def parse_bfile(text: str) -> BFile:
     """Read a b-file: canonical text in one pass, any other line by line."""

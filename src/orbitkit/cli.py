@@ -199,7 +199,7 @@ def _cmd_growth(args) -> int:
 
 def _cmd_factor(args) -> int:
     target = _read_sequence(args.infile, View.ORBIT, args.terms)
-    result = factor_search(target, len(target), limit=args.limit)
+    result = factor_search(target, limit=args.limit)
     if args.json:
         import json  # only this output needs it; the other commands start without it
         payload = {"pairs": [p._asdict() for p in result.pairs], "truncated": result.truncated}

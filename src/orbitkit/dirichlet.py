@@ -1,7 +1,8 @@
 """Truncated Dirichlet series with exact coefficients.
 
-A DirichletPoly holds the coefficients of n^{-s} for n = 1..N, as the
-ints or Fractions it was given; integer inputs stay integer throughout.
+A DirichletPoly holds the coefficients of n^{-s} for n = 1..N from any
+iterable (DirichletPoly(s.terms) for a sequence s, sparse([(1, 1)], N) for
+the identity), as the ints or Fractions given; integers stay integers.
 Multiplication is Dirichlet convolution truncated to N; division is
 the unique exact inverse when the divisor has a nonzero leading
 coefficient.  Identities involving infinite Euler products are checked
@@ -17,7 +18,6 @@ from operator import add, sub
 from typing import Iterable, Union
 
 from .numtheory import _require_positive, primes_upto
-from .sequences import Sequence
 
 Rational = Union[int, Fraction]
 
@@ -28,7 +28,7 @@ class DirichletPoly:
     __slots__ = ("coeffs",)
     coeffs: tuple[Rational, ...]
 
-    def __init__(self, coeffs: tuple[Rational, ...]) -> None:
+    def __init__(self, coeffs: Iterable[Rational]) -> None:
         object.__setattr__(self, "coeffs", tuple(coeffs))
         # bool, subclasses and inexact values take the loop, which names the index
         if not set(map(type, self.coeffs)) <= {int, Fraction}:
@@ -67,15 +67,6 @@ class DirichletPoly:
         return iter(self.coeffs)
 
 
-def from_sequence(s: Sequence) -> DirichletPoly:
-    """The series sum s(n) n^{-s}, any view."""
-    return DirichletPoly(s.terms)
-
-
-def from_coeffs(values: Iterable[Rational]) -> DirichletPoly:
-    return DirichletPoly(tuple(values))
-
-
 def zeta_shift(a: int, n_terms: int) -> DirichletPoly:
     """zeta(s - a) truncated: coefficient n**a at n, for a >= 0."""
     _require_positive(n_terms, "n_terms")
@@ -87,11 +78,6 @@ def zeta_shift(a: int, n_terms: int) -> DirichletPoly:
 def zeta_poly(n_terms: int) -> DirichletPoly:
     """zeta(s) truncated: all coefficients 1."""
     return zeta_shift(0, n_terms)
-
-
-def delta_poly(n_terms: int) -> DirichletPoly:
-    """The multiplicative identity: 1 at n=1, 0 elsewhere."""
-    return sparse([(1, 1)], n_terms)
 
 
 def sparse(entries: Iterable[tuple[int, Rational]], n_terms: int) -> DirichletPoly:

@@ -35,19 +35,15 @@ class FactorSearchResult(NamedTuple):
     truncated: bool
 
 
-def factor_search(
-    target: Sequence, n_terms: int | None = None, limit: int = 10_000
-) -> FactorSearchResult:
-    """All product factorizations of target to length n_terms.
+def factor_search(target: Sequence, *, limit: int = 10_000) -> FactorSearchResult:
+    """All product factorizations of target; truncate(target, n) for a prefix.
 
     Pairs come out in lexicographic order of the left factor; (u, v)
     and (v, u) are both reported.  If more than ``limit`` pairs exist
     the list stops there and ``truncated`` is set.
     """
     target.require_view(View.ORBIT, "factor_search")
-    n = len(target) if n_terms is None else n_terms
-    if not 1 <= n <= len(target):
-        raise ValueError(f"n_terms {n} outside 1..{len(target)}")
+    n = len(target)
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     if target[1] < 1:

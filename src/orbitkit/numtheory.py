@@ -1,7 +1,8 @@
 """Exact elementary number theory used throughout the library.
 
-Plain trial division: whole-vector divisor sums run in dirichlet, so these
-per-n calls serve only identities, referees and the factor search.  The one
+Plain trial division in factorize, which divisors builds on, and in mobius
+and is_prime: whole-vector divisor sums run in dirichlet, so these per-n
+calls serve only identities, referees and the factor search.  The one
 sieve lists the primes for dirichlet's Euler-product kernels.  Exact ints.
 """
 
@@ -62,19 +63,11 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
 
 
 def divisors(n: int) -> list[int]:
-    """All divisors of n, ascending."""
-    _require_positive(n)
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d * d != n:
-                large.append(n // d)
-        d += 1
-    small.extend(reversed(large))
-    return small
+    """All divisors of n, ascending: the products of its prime powers."""
+    out = [1]
+    for p, a in factorize(n):
+        out += [d * p**j for j in range(1, a + 1) for d in out]
+    return sorted(out)
 
 
 def mobius(n: int) -> int:
@@ -132,10 +125,10 @@ class PrimeSet:
         object.__setattr__(self, "primes", primes)
         last = 1
         for p in self.primes:
-            if p <= last:
-                raise ValueError("listed primes must be distinct and ascending")
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
+            if p <= last:
+                raise ValueError("listed primes must be distinct and ascending")
             last = p
 
     def __eq__(self, other):
@@ -170,13 +163,6 @@ class PrimeSet:
         if not self.cofinite:
             return p in self.primes
         return is_prime(p) and p not in self.primes
-
-    def divides_any(self, n: int) -> bool:
-        """True when some prime in the set divides n."""
-        _require_positive(n)
-        if not self.cofinite:
-            return any(n % p == 0 for p in self.primes)
-        return any(p not in self.primes for p, _ in factorize(n))
 
 
 def part(n: int, s: PrimeSet) -> int:

@@ -138,30 +138,29 @@ def s_p(primes: PrimeSet, n_terms: int) -> Sequence:
     _require_positive(n_terms, "n_terms")
     return Sequence(
         View.ORBIT,
-        tuple(0 if primes.divides_any(n) else 1 for n in range(1, n_terms + 1)),
+        tuple(1 if part(n, primes) == 1 else 0 for n in range(1, n_terms + 1)),
     )
+
+
+def _at_powers(base: int, n_terms: int) -> Sequence:
+    """One orbit at each length that is a power of base, none elsewhere."""
+    _require_positive(n_terms, "n_terms")
+    terms = [0] * n_terms
+    k = 1
+    while k <= n_terms:
+        terms[k - 1] = 1
+        k *= base
+    return Sequence(View.ORBIT, tuple(terms))
 
 
 def feigenbaum(n_terms: int) -> Sequence:
     """One orbit at each power-of-two length, none elsewhere."""
-    _require_positive(n_terms, "n_terms")
-    terms = [0] * n_terms
-    k = 1
-    while k <= n_terms:
-        terms[k - 1] = 1
-        k *= 2
-    return Sequence(View.ORBIT, tuple(terms))
+    return _at_powers(2, n_terms)
 
 
 def ternary(n_terms: int) -> Sequence:
     """One orbit at each power-of-three length, none elsewhere."""
-    _require_positive(n_terms, "n_terms")
-    terms = [0] * n_terms
-    k = 1
-    while k <= n_terms:
-        terms[k - 1] = 1
-        k *= 3
-    return Sequence(View.ORBIT, tuple(terms))
+    return _at_powers(3, n_terms)
 
 
 def golden_mean(n_terms: int) -> Sequence:

@@ -10,6 +10,7 @@ import random
 
 from orbitkit import (
     PrimeSet,
+    DirichletPoly,
     Sequence,
     View,
     cyclic_subgroup_count,
@@ -39,7 +40,6 @@ from orbitkit import (
     zeta_poly,
     zeta_shift,
 )
-from orbitkit.dirichlet import from_coeffs, from_sequence
 from orbitkit.identities import PARTITION_TERMS
 from orbitkit.oracle import monoid_by_partitions
 from orbitkit.numtheory import factorize, part
@@ -80,7 +80,7 @@ def _product_series():
         assert prod[m] == sum(sigma_k(d, 1) * mobius(m // d) ** 2 for d in divisors(m))
     num = mul(mul(zeta_poly(n), zeta_poly(n)), zeta_shift(1, n))
     quotient = div(num, dilate(zeta_poly(n), 2))
-    assert quotient == from_sequence(prod)
+    assert quotient == DirichletPoly(prod.terms)
 
 
 def test_c01():
@@ -224,7 +224,7 @@ def _indicator_factorization():
         pset = PrimeSet.finite(p_list)
         got = product_orbits(s_p(pset, 100), s_p(pset.complement(), 100))
         assert got == zeta(100)
-    result = factor_search(zeta(10), 10)
+    result = factor_search(zeta(10))
     assert not result.truncated
     assert len(result.pairs) == 16
     for left, right in result.pairs:
@@ -244,7 +244,7 @@ def _odd_part_product_series():
     n = 100
     prod = product_orbits(s_p(PrimeSet.finite((2,)), n), zeta(n))
     assert prod.terms[:9] == (1, 1, 5, 1, 7, 5, 9, 1, 17)
-    lhs = from_sequence(prod)
+    lhs = DirichletPoly(prod.terms)
     rhs = zeta_poly(n)
     for q in primes_upto(n):
         if q == 2:
@@ -265,13 +265,13 @@ def _interpolation_lemmas():
     n = 100
     for p_list in ((2,), (3,), (2, 3)):
         pset = PrimeSet.finite(p_list)
-        lhs = from_sequence(s_part_seq(pset, n))
+        lhs = DirichletPoly(s_part_seq(pset, n).terms)
         rhs = zeta_poly(n)
         for p in p_list:
             lhs = mul(lhs, sparse([(1, 1), (p, -p)], n))
             rhs = mul(rhs, sparse([(1, 1), (p, -1)], n))
         assert lhs == rhs
-        lhs = from_sequence(a_s(pset, n))
+        lhs = DirichletPoly(a_s(pset, n).terms)
         rhs = zeta_poly(n)
         for p in p_list:
             lhs = mul(lhs, sparse([(1, 1), (p, -p)], n))
@@ -282,7 +282,7 @@ def _interpolation_lemmas():
         u = Sequence(View.ORBIT, tuple(m**a for m in range(1, n + 1)))
         v = Sequence(View.ORBIT, tuple(m**b for m in range(1, n + 1)))
         prod = product_orbits(u, v)
-        lhs = mul(from_sequence(prod), dilate(zeta_shift(a + b, n), 2))
+        lhs = mul(DirichletPoly(prod.terms), dilate(zeta_shift(a + b, n), 2))
         rhs = mul(mul(zeta_shift(a, n), zeta_shift(b, n)), zeta_shift(a + b + 1, n))
         assert lhs == rhs
 

@@ -84,6 +84,12 @@ def test_seq_prime_set_param(capsys):
     assert out == "1 1\n2 1\n3 1\n4 1\n5 0\n6 1\n"
 
 
+@pytest.mark.parametrize("value", ["1", "0", "-3"])
+def test_seq_prime_set_names_a_non_prime(capsys, value):
+    code, out, err = run_cli(capsys, "seq", "s_P", "--param", f"P={value}", "--terms", "3")
+    assert (code, out, err) == (2, "", f"usage error: {value} is not prime\n")
+
+
 def test_transform_pipeline(capsys, tmp_path):
     fix_file = tmp_path / "fix.b"
     fix_file.write_text("1 1\n2 3\n3 4\n4 7\n", encoding="ascii")

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitkit import PrimeSet, Sequence, View, factor_search, product_orbits
-from orbitkit.sequences import delta, feigenbaum, s_p, ternary, zeta
+from orbitkit.sequences import delta, feigenbaum, s_p, ternary, truncate, zeta
 from helpers import factor_search_dfs, fix_from_orbit_brute, product_brute, random_orbit
 
 
@@ -14,7 +14,7 @@ def orbits(terms):
 
 
 def test_delta_factors_uniquely():
-    result = factor_search(delta(5), 5)
+    result = factor_search(delta(5))
     assert not result.truncated
     assert len(result.pairs) == 1
     assert result.pairs[0].left == delta(5).terms
@@ -22,7 +22,7 @@ def test_delta_factors_uniquely():
 
 
 def test_single_term_enumerates_divisor_pairs():
-    result = factor_search(Sequence(View.ORBIT, (12,)), 1)
+    result = factor_search(Sequence(View.ORBIT, (12,)))
     lefts = [p.left[0] for p in result.pairs]
     rights = [p.right[0] for p in result.pairs]
     assert lefts == [1, 2, 3, 4, 6, 12]
@@ -30,7 +30,7 @@ def test_single_term_enumerates_divisor_pairs():
 
 
 def test_zeta_ten_has_sixteen_pairs():
-    result = factor_search(zeta(10), 10)
+    result = factor_search(zeta(10))
     assert not result.truncated
     assert len(result.pairs) == 16
     for left, right in result.pairs:
@@ -41,25 +41,25 @@ def test_zeta_ten_has_sixteen_pairs():
 
 
 def test_pairs_sorted_by_left_factor():
-    result = factor_search(zeta(10), 10)
+    result = factor_search(zeta(10))
     lefts = [p.left for p in result.pairs]
     assert lefts == sorted(lefts)
 
 
 def test_rejects_zero_leading_term():
     with pytest.raises(ValueError):
-        factor_search(Sequence(View.ORBIT, (0, 1)), 2)
+        factor_search(Sequence(View.ORBIT, (0, 1)))
 
 
 def test_truncation_flag():
-    result = factor_search(zeta(30), 30, limit=10)
+    result = factor_search(zeta(30), limit=10)
     assert result.truncated
     assert len(result.pairs) == 10
 
 
 def test_smooth_product_recovered():
     target = product_orbits(feigenbaum(12), ternary(12))
-    result = factor_search(target, 12)
+    result = factor_search(target)
     pairs = set(result.pairs)
     assert (feigenbaum(12).terms, ternary(12).terms) in pairs
     for left, right in result.pairs:
@@ -75,7 +75,7 @@ def test_random_products_always_recovered():
         if u[1] * v[1] == 0:
             continue
         target = product_orbits(u, v)
-        result = factor_search(target, 6, limit=5000)
+        result = factor_search(target, limit=5000)
         pairs = set(result.pairs)
         if not result.truncated:
             assert (u.terms, v.terms) in pairs
@@ -86,7 +86,7 @@ def test_random_products_always_recovered():
 
 
 def test_result_is_swap_symmetric():
-    result = factor_search(zeta(8), 8)
+    result = factor_search(zeta(8))
     pairs = set(result.pairs)
     assert all((r, l) in pairs for l, r in pairs)
 
@@ -109,7 +109,7 @@ def test_matches_exhaustive_referee():
             # index 1 of the lcm sum is u(1) v(1): a cheap first filter
             if u[1] * v[1] == target[1] and product_brute(u, v) == list(target.terms)
         ]
-        result = factor_search(target, n)
+        result = factor_search(target)
         assert not result.truncated
         assert list(result.pairs) == expected
 
@@ -131,5 +131,5 @@ def search_cases(draw):
 @given(search_cases())
 def test_matches_depth_first_referee(case):
     target, n_terms, limit = case
-    result = factor_search(target, n_terms, limit)
+    result = factor_search(truncate(target, n_terms), limit=limit)
     assert (list(result.pairs), result.truncated) == factor_search_dfs(target, n_terms, limit)

@@ -1,6 +1,6 @@
 import pytest
 
-from orbitkit import transforms
+from orbitkit import factor_search, identities, transforms
 from orbitkit.cli import main
 from orbitkit.identities import (
     REGISTRY,
@@ -100,6 +100,19 @@ def test_verify_all_reports_every_failure(monkeypatch, capsys):
         for name in REGISTRY
     )
     assert out == expected
+
+
+def test_zeta_factorization_limits_the_search_to_one_extra_pair(monkeypatch):
+    # zeta to 10 terms has 2^pi(10) = 16 factor pairs: the search may find 17
+    limits = []
+
+    def spy(target, *, limit):
+        limits.append(limit)
+        return factor_search(target, limit=limit)
+
+    monkeypatch.setattr(identities, "factor_search", spy)
+    assert run("zeta-factorization", 10).ok
+    assert limits == [17]
 
 
 def test_failure_without_index(monkeypatch, capsys):

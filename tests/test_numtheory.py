@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -14,6 +15,7 @@ from orbitkit import (
     primes_upto,
     sigma_k,
 )
+from orbitkit.sequences import s_p
 from helpers import divisors_brute, mobius_brute, phi_brute, sigma_brute
 
 
@@ -65,6 +67,17 @@ def test_divisors_match_brute(n):
     assert divisors(n) == divisors_brute(n)
 
 
+def test_divisors_known_values():
+    assert divisors(1) == [1]
+    assert divisors(7919) == [1, 7919]
+    assert divisors(2**20) == [2**j for j in range(21)]
+    primes = (2, 3, 5, 7, 11, 13)
+    subsets = (c for k in range(7) for c in itertools.combinations(primes, k))
+    assert divisors(30030) == sorted(map(math.prod, subsets))
+    assert divisors(720720) == divisors_brute(720720)
+    assert len(divisors(720720)) == 240
+
+
 @given(st.integers(min_value=1, max_value=2000))
 def test_mobius_matches_brute(n):
     assert mobius(n) == mobius_brute(n)
@@ -110,12 +123,20 @@ class TestPrimeSet:
         with pytest.raises(ValueError):
             PrimeSet.all_except((1,))
 
-    def test_divides_any(self):
-        assert PrimeSet.finite((2, 3)).divides_any(10)
-        assert not PrimeSet.finite((2, 3)).divides_any(35)
-        assert PrimeSet.all_except((2,)).divides_any(6)
-        assert not PrimeSet.all_except((2,)).divides_any(8)
-        assert not PrimeSet.all_except((2,)).divides_any(1)
+    def test_names_a_non_prime_before_the_order(self):
+        for bad in (1, 0, -3):
+            with pytest.raises(ValueError, match=f"^{bad} is not prime$"):
+                PrimeSet.finite((bad,))
+        with pytest.raises(ValueError, match="distinct and ascending"):
+            PrimeSet(False, (3, 2))
+
+    @given(st.lists(st.sampled_from(primes_upto(60)), max_size=6), st.booleans(),
+           st.integers(1, 200))
+    def test_s_p_matches_brute_indicator(self, listed, cofinite, n):
+        primes = PrimeSet.all_except(listed) if cofinite else PrimeSet.finite(listed)
+        in_set = [p for p in range(2, n + 1) if is_prime(p) and (p in listed) != cofinite]
+        expected = [0 if any(m % p == 0 for p in in_set) else 1 for m in range(1, n + 1)]
+        assert list(s_p(primes, n)) == expected
 
 
 def test_part_known_values():
