@@ -19,7 +19,7 @@ import sys
 from typing import Optional, Sequence as Vector
 
 from .asymptotics import pnt_report
-from .bfile import BFileFormatError, format_bfile, parse_bfile
+from .bfile import _FIELD, BFileFormatError, format_bfile, parse_bfile
 from .factorization import factor_search
 from .identities import REGISTRY, run
 from .numtheory import PrimeSet
@@ -35,15 +35,14 @@ def parse_prime_set(text: str) -> PrimeSet:
     """Parse ``2,3`` (finite) or ``~2,3`` (all primes except 2 and 3).
 
     Bare ``~`` means every prime; the empty string means no primes.
+    Entries are spelled as b-file fields: no +, _, space or non-ASCII digit.
     """
-    body = text.strip()
-    cofinite = body.startswith("~")
-    if cofinite:
-        body = body[1:]
-    try:
-        primes = [int(tok) for tok in body.split(",") if tok.strip()]
-    except ValueError:
-        raise ValueError(f"bad prime set {text!r}: entries must be integers") from None
+    cofinite = text.startswith("~")
+    body = text[1:] if cofinite else text
+    entries = body.split(",") if body else []
+    if not all(map(_FIELD.fullmatch, entries)):
+        raise ValueError(f"bad prime set {text!r}: entries must be integers")
+    primes = [int(tok) for tok in entries]
     if cofinite:
         return PrimeSet.all_except(primes)
     return PrimeSet.finite(primes)
@@ -55,13 +54,14 @@ def _parse_params(pairs: list[str]) -> dict:
         key, sep, raw = pair.partition("=")
         if not sep or not key:
             raise ValueError(f"--param expects key=value, got {pair!r}")
+        if key in params:
+            raise ValueError(f"parameter {key} given more than once")
         if key in _PRIME_SET_PARAMS:
             params[key] = parse_prime_set(raw)
+        elif _FIELD.fullmatch(raw):  # as in b-files: no +, _, space or non-ASCII digit
+            params[key] = int(raw)
         else:
-            try:
-                params[key] = int(raw)
-            except ValueError:
-                raise ValueError(f"parameter {key} must be an integer, got {raw!r}") from None
+            raise ValueError(f"parameter {key} must be an integer, got {raw!r}")
     return params
 
 
@@ -163,6 +163,7 @@ def _cmd_op(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_terms(args.terms)
     if args.list:
         for name, ident in REGISTRY.items():
             print(f"{name}: {ident.description} (default terms {ident.default_terms})")

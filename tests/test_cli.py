@@ -90,6 +90,26 @@ def test_seq_prime_set_names_a_non_prime(capsys, value):
     assert (code, out, err) == (2, "", f"usage error: {value} is not prime\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("geometric", "--param", "p=1_0"), "parameter p must be an integer, got '1_0'"),
+    (("geometric", "--param", "p= 2"), "parameter p must be an integer, got ' 2'"),
+    (("geometric", "--param", "p=+2"), "parameter p must be an integer, got '+2'"),
+    (("geometric", "--param", "p=\u0663"), "parameter p must be an integer"),
+    (("s_P", "--param", "P=+3"), "bad prime set '+3'"),
+    (("s_P", "--param", "P=\u0663"), "bad prime set"),
+    (("s_P", "--param", "P=2, 3"), "bad prime set '2, 3'"),
+    (("s_P", "--param", "P=2,"), "bad prime set '2,'"),
+    (("full_shift", "--param", "a=2", "--param", "a=3"), "parameter a given more than once"),
+    (("dual_rational", "--param", "a=1", "--param", "b=2", "--param", "a=3"),
+     "parameter a given more than once"),
+    (("s_P", "--param", "P=2", "--param", "P=3"), "parameter P given more than once"),
+])
+def test_seq_params_are_plain_integers_given_once(capsys, argv, message):
+    code, out, err = run_cli(capsys, "seq", *argv, "--terms", "2")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: ") and message in err
+
+
 def test_transform_pipeline(capsys, tmp_path):
     fix_file = tmp_path / "fix.b"
     fix_file.write_text("1 1\n2 3\n3 4\n4 7\n", encoding="ascii")
@@ -190,6 +210,12 @@ def test_verify_list(capsys):
     assert code == 0
     assert "ttimest-series:" in out
     assert "default terms" in out
+
+
+@pytest.mark.parametrize("argv", [("all",), ("no-such-identity",), ("--list",)])
+def test_verify_checks_terms_first(capsys, argv):
+    code, out, err = run_cli(capsys, "verify", *argv, "--terms", "0")
+    assert (code, out, err) == (2, "", "usage error: --terms must be at least 1, got 0\n")
 
 
 def test_verify_requires_name(capsys):

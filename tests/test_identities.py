@@ -1,6 +1,6 @@
 import pytest
 
-from orbitkit import factor_search, identities, transforms
+from orbitkit import factor_search, identities, operators, transforms
 from orbitkit.cli import main
 from orbitkit.identities import (
     REGISTRY,
@@ -10,7 +10,7 @@ from orbitkit.identities import (
     _expect,
     run,
 )
-from orbitkit.sequences import Sequence
+from orbitkit.sequences import Sequence, View
 
 
 def test_registry_is_populated():
@@ -55,7 +55,7 @@ def _euler_off_by_one_at_3(monkeypatch):
 
 # the identities a wrong third Euler term breaks at default terms
 _EULER_AT_3_FAILURES = {
-    "euler-roundtrip": " (euler_inverse(euler(o)) != o)",
+    "euler-roundtrip": " at index 3 (euler_inverse(euler(o)) != o)",
     "three-route-monoid": " at index 3 (zeta function routes disagree)",
     "euler-partitions": " at index 3 (partition prefix wrong)",
     "golden-mean-monoid": " at index 3 (monoid counts are not Fibonacci(n+1))",
@@ -77,6 +77,25 @@ def test_expect_raises_at_first_difference(expected, actual, index):
     assert info.value.args == (index, "detail")
 
 
+def test_expect_compares_views_of_two_sequences():
+    orbit, fix = Sequence(View.ORBIT, (1, 2)), Sequence(View.FIX, (1, 2))
+    _expect(orbit, Sequence(View.ORBIT, (1, 2)), "equal")
+    _expect(orbit, (1, 2), "a plain iterable has no view")
+    with pytest.raises(Mismatch) as info:
+        _expect(orbit, fix, "views differ")
+    assert info.value.args == (None, "views differ")
+
+
+def test_expect_takes_generators():
+    _expect((m * m for m in range(1, 4)), iter([1, 4, 9]), "equal")
+    with pytest.raises(Mismatch) as info:
+        _expect((m * m for m in range(1, 4)), (m + m for m in range(1, 5)), "detail")
+    assert info.value.args == (1, "detail")
+    with pytest.raises(Mismatch) as info:
+        _expect((m for m in range(1, 4)), (m for m in range(1, 3)), "detail")
+    assert info.value.args == (3, "detail")
+
+
 def test_run_reports_a_failing_check(monkeypatch):
     _euler_off_by_one_at_3(monkeypatch)
     result = run("euler-partitions")
@@ -84,7 +103,7 @@ def test_run_reports_a_failing_check(monkeypatch):
     assert result.failing_index == 3
     assert result.detail == "partition prefix wrong"
     result = run("euler-roundtrip")
-    assert (result.ok, result.failing_index) == (False, None)
+    assert (result.ok, result.failing_index) == (False, 3)
     assert result.detail == "euler_inverse(euler(o)) != o"
 
 
@@ -100,6 +119,28 @@ def test_verify_all_reports_every_failure(monkeypatch, capsys):
         for name in REGISTRY
     )
     assert out == expected
+
+
+def test_wrong_product_term_is_reported_at_its_index(monkeypatch):
+    # product_orbits adds 1 to its second term; whole-sequence checks name index 2
+    real = operators.product_orbits
+
+    def wrong(u, v):
+        prod = real(u, v)
+        if len(prod) < 2:
+            return prod
+        return Sequence(prod.view, (prod.terms[0], prod.terms[1] + 1, *prod.terms[2:]))
+
+    monkeypatch.setattr(operators, "product_orbits", wrong)
+    expected = {
+        "product-identity": "delta is not the product identity",
+        "product-associative": "product is not associative",
+        "product-distributive": "product does not distribute over union",
+        "oracle-product": "exhaustive case u=(0, 0, 0), v=(0, 0, 0)",
+        "zeta-factorization": "pair does not multiply back to zeta",
+    }
+    for name, detail in expected.items():
+        assert run(name) == VerifyResult(name, False, 2, detail)
 
 
 def test_zeta_factorization_limits_the_search_to_one_extra_pair(monkeypatch):
