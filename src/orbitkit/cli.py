@@ -14,13 +14,15 @@ non-ASCII bytes and negative terms read as orbit, fix or monoid data),
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
+from itertools import chain, islice, product
 from typing import Optional, Sequence as Vector
 
 from .asymptotics import pnt_report
 from .bfile import _FIELD, BFileFormatError, format_bfile, parse_bfile
-from .factorization import factor_search
+from .factorization import factor_blocks, factor_search
 from .identities import REGISTRY, run
 from .numtheory import PrimeSet
 from .operators import iterate_orbits, product_orbits, union_orbits
@@ -109,6 +111,7 @@ def _write_bfile(values: Vector[int], start: int = 1) -> None:
 
 
 def _cmd_seq(args) -> int:
+    _check_terms(args.terms)
     seq = builtin(args.name, _parse_params(args.param), args.terms)
     if args.view is not None:
         seq = convert(seq, View(args.view))
@@ -189,6 +192,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_growth(args) -> int:
+    _check_terms(args.terms)
     if args.h <= 0:
         raise ValueError("--h must be a positive growth rate")
     orbits = convert(builtin(args.name, _parse_params(args.param), args.terms), View.ORBIT)
@@ -199,20 +203,37 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_factor(args) -> int:
+    if args.limit < 1:  # before the input is read, as --terms is
+        raise ValueError(f"--limit must be at least 1, got {args.limit}")
     target = _read_sequence(args.infile, View.ORBIT, args.terms)
-    result = factor_search(target, limit=args.limit)
     if args.json:
         import json  # only this output needs it; the other commands start without it
+        result = factor_search(target, limit=args.limit)
         payload = {"pairs": [p._asdict() for p in result.pairs], "truncated": result.truncated}
         print(json.dumps(payload, sort_keys=True))
         return 0
-    print(f"pairs {len(result.pairs)}")
-    print(f"truncated {'true' if result.truncated else 'false'}")
-    # few distinct values fill many pairs: convert each to decimal once
-    distinct = set().union(*(side for pair in result.pairs for side in pair))
-    decimal = {t: str(t) for t in distinct}.__getitem__
-    for left, right in result.pairs:
-        print(" ".join(map(decimal, left)), "|", " ".join(map(decimal, right)))
+    # Lines come from blocks, not pairs. A block is formatted once into lists of
+    # (left, right) pieces: one piece for each run of one-choice indices (the
+    # prefix heads the first), one per choice at the others. A line takes one of each.
+    blocks, count = [], 0
+    for left, right, upper in factor_blocks(target):
+        lists, ls, rs = [], [f"{u} " for u in left], ["|", *(f" {v}" for v in right)]
+        for choices in upper:
+            if len(choices) == 1:
+                ls.append(f"{choices[0][0]} ")
+                rs.append(f" {choices[0][1]}")
+            else:
+                lists += [("".join(ls), "".join(rs))], [(f"{u} ", f" {v}") for u, v in choices]
+                ls, rs = [], []
+        lists.append([("".join(ls), "".join(rs) + "\n")])
+        blocks.append(lists)
+        count += math.prod(map(len, lists))
+        if count > args.limit:
+            break
+    print(f"pairs {min(count, args.limit)}")
+    print(f"truncated {'true' if count > args.limit else 'false'}")
+    pieces = (chain(*zip(*line)) for lists in blocks for line in product(*lists))
+    sys.stdout.writelines(map("".join, islice(pieces, args.limit)))
     return 0
 
 

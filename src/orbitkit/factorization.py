@@ -12,12 +12,15 @@ with A, B the fixed-point sums of u, v over the proper divisors of n.
 The choices at n read u and v only at proper divisors of n, and no
 index above N/2 divides another index up to N.  So once u and v are
 fixed on 1..N/2 the upper indices choose independently: the search runs
-depth-first over 1..N/2 and takes the Cartesian product of the rest.
+depth-first over 1..N/2, and ``factor_blocks`` yields each complete
+prefix as a block, with one choice list per upper index.
+``factor_search`` expands the blocks into pairs by their Cartesian
+product; a caller that only prints pairs can read the blocks instead.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import islice, product
 from typing import Iterator, NamedTuple
 
 from .numtheory import divisors
@@ -43,18 +46,36 @@ def factor_search(target: Sequence, *, limit: int = 10_000) -> FactorSearchResul
     the list stops there and ``truncated`` is set.
     """
     target.require_view(View.ORBIT, "factor_search")
-    n = len(target)
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    # the last index varies fastest and each list ascends in u(k), so the
+    # pairs stay in lexicographic order of the left factor
+    pairs = (
+        FactorPair(left + us, right + vs)
+        for left, right, upper in factor_blocks(target)
+        for us, vs in (zip(*rest) for rest in product(*upper))
+    )
+    found = tuple(islice(pairs, limit))
+    return FactorSearchResult(found, next(pairs, None) is not None)
+
+
+def factor_blocks(target: Sequence) -> Iterator[tuple]:
+    """Each factor pair block of target as (left, right, upper).
+
+    left and right are u and v on 1..N/2; upper holds, for each index
+    k = N/2 + 1..N in turn, the ascending list of its (u(k), v(k))
+    choices, each list nonempty.  The block's pairs are the Cartesian
+    product of those lists; blocks come in lexicographic order of left.
+    """
+    target.require_view(View.ORBIT, "factor_blocks")
     if target[1] < 1:
         raise ValueError("target(1) must be >= 1 for any factorization to exist")
-
+    n = len(target)
     fix = orbit_to_fix(target).terms
     proper = [divisors(m)[:-1] for m in range(1, n + 1)]
     u = [0] * (n + 1)
     v = [0] * (n + 1)
     half = n // 2
-    found: list[FactorPair] = []
     # stack[m] yields the choices of (u(m), v(m)), indices below m fixed while
     # it is live; placeholder index 0 has one choice, so n = 1 has one prefix
     stack = [iter(((0, 0),))]
@@ -69,15 +90,8 @@ def factor_search(target: Sequence, *, limit: int = 10_000) -> FactorSearchResul
             stack.append(_choices(fix, m + 1, u, v, proper))
             continue
         upper = [list(_choices(fix, k, u, v, proper)) for k in range(half + 1, n + 1)]
-        left, right = tuple(u[1 : half + 1]), tuple(v[1 : half + 1])
-        # the last index varies fastest and each list ascends in u(k), so
-        # the pairs stay in lexicographic order of the left factor
-        for rest in product(*upper):
-            if len(found) >= limit:
-                return FactorSearchResult(tuple(found), True)
-            us, vs = zip(*rest)
-            found.append(FactorPair(left + us, right + vs))
-    return FactorSearchResult(tuple(found), False)
+        if all(upper):
+            yield tuple(u[1 : half + 1]), tuple(v[1 : half + 1]), upper
 
 
 def _choices(fix, m, u, v, proper) -> Iterator[tuple[int, int]]:

@@ -1,3 +1,4 @@
+import contextlib
 import decimal
 import io
 import json
@@ -5,9 +6,12 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import orbitkit
 from orbitkit.cli import main, parse_prime_set
@@ -212,6 +216,15 @@ def test_verify_list(capsys):
     assert "default terms" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ("seq", "zeta"),
+    ("growth", "--name", "zeta", "--h", "1", "--c1", "1"),
+])
+def test_builtin_commands_name_terms_below_one(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--terms", "0")
+    assert (code, out, err) == (2, "", "usage error: --terms must be at least 1, got 0\n")
+
+
 @pytest.mark.parametrize("argv", [("all",), ("no-such-identity",), ("--list",)])
 def test_verify_checks_terms_first(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv, "--terms", "0")
@@ -320,20 +333,73 @@ def _random_product():
     return product_orbits(u, v)
 
 
+def _plain_rendering(target, limit):
+    pairs, truncated = factor_search_dfs(target, len(target), limit)
+    lines = [f"pairs {len(pairs)}", f"truncated {str(truncated).lower()}"]
+    lines += [f"{' '.join(map(str, left))} | {' '.join(map(str, right))}" for left, right in pairs]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("target, limit", [
     (zeta(12), 10_000),
     (id_orbits(24), 50),
     (_random_product(), 10_000),  # terms of up to four digits
+    (zeta(12), 32),  # exactly the pair count: not truncated
 ])
 def test_factor_text_matches_the_plain_rendering(capsys, tmp_path, target, limit):
     f = tmp_path / "target.b"
     f.write_text("".join(f"{n} {t}\n" for n, t in enumerate(target, 1)), encoding="ascii")
-    pairs, truncated = factor_search_dfs(target, len(target), limit)
-    expected = [f"pairs {len(pairs)}", f"truncated {str(truncated).lower()}"]
-    expected += [f"{' '.join(map(str, left))} | {' '.join(map(str, right))}" for left, right in pairs]
     code, out, _ = run_cli(capsys, "factor", "--in", str(f), "--limit", str(limit))
     assert code == 0
-    assert out == "\n".join(expected) + "\n"
+    assert out == _plain_rendering(target, limit)
+
+
+@st.composite
+def factor_cases(draw):
+    """A product of two random orbit vectors, with a limit at, next to or
+    well below its pair count."""
+    n = draw(st.integers(1, 8))
+    vector = st.tuples(st.integers(1, 3), *[st.integers(0, 3)] * (n - 1))
+    target = product_orbits(*(Sequence(View.ORBIT, draw(vector)) for _ in "uv"))
+    count = len(factor_search_dfs(target, n, 10**9)[0])
+    return target, draw(st.sampled_from([1, 2, 3, max(count - 1, 1), count, count + 1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(factor_cases())
+def test_factor_text_streams_the_plain_rendering(case):
+    target, limit = case
+    out = io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(format_bfile(target.terms))):
+        with contextlib.redirect_stdout(out):
+            assert main(["factor", "--limit", str(limit)]) == 0
+    assert out.getvalue() == _plain_rendering(target, limit)
+
+
+def test_factor_text_memory_follows_blocks(tmp_path):
+    # id_orbits to 300 terms is one block with 14 varying indices; its first
+    # 10,000 pairs as tuples hold about 48 MB
+    f = tmp_path / "id300.b"
+    f.write_text(format_bfile(id_orbits(300).terms), encoding="ascii")
+    with open(tmp_path / "out.txt", "w", encoding="ascii") as fh, contextlib.redirect_stdout(fh):
+        tracemalloc.start()
+        try:
+            code = main(["factor", "--in", str(f), "--limit", "10000"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 8 * 2**20
+    with open(tmp_path / "out.txt", encoding="ascii") as fh:
+        assert [next(fh), next(fh)] == ["pairs 10000\n", "truncated true\n"]
+        assert sum(1 for _ in fh) == 10_000
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_factor_checks_limit_before_reading(capsys, monkeypatch, limit):
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 x\n"))
+    code, out, err = run_cli(capsys, "factor", "--limit", limit)
+    assert (code, out, err) == (2, "", f"usage error: --limit must be at least 1, got {limit}\n")
 
 
 def test_export_import_roundtrip(capsys, tmp_path):

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitkit import PrimeSet, Sequence, View, factor_search, product_orbits
+from orbitkit.factorization import factor_blocks
 from orbitkit.sequences import delta, feigenbaum, s_p, ternary, truncate, zeta
 from helpers import factor_search_dfs, fix_from_orbit_brute, product_brute, random_orbit
 
@@ -133,3 +135,19 @@ def test_matches_depth_first_referee(case):
     target, n_terms, limit = case
     result = factor_search(truncate(target, n_terms), limit=limit)
     assert (list(result.pairs), result.truncated) == factor_search_dfs(target, n_terms, limit)
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_cases())
+def test_blocks_expand_to_the_pairs_in_order(case):
+    target, n_terms, _ = case
+    pairs = factor_search_dfs(target, n_terms, 10**9)[0]
+    blocks = list(factor_blocks(truncate(target, n_terms)))
+    assert sum(math.prod(map(len, upper)) for _, _, upper in blocks) == len(pairs)
+    expanded = [
+        (left + tuple(u for u, _ in rest), right + tuple(v for _, v in rest))
+        for left, right, upper in blocks
+        for rest in itertools.product(*upper)
+    ]
+    assert expanded == pairs
+    assert expanded == list(factor_search(truncate(target, n_terms), limit=10**9).pairs)
