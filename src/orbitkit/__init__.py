@@ -5,8 +5,7 @@ of a dynamical system.  The library provides the transforms between
 the orbit, fixed-point and orbit-monoid views, product/union/iterate
 operators, Dirichlet and zeta series identities, growth asymptotics,
 a brute-force simulation oracle, and a factorization search — all in
-exact arithmetic apart from the asymptotics module: ints, with a
-Fraction only where a denominator is real.
+exact integer arithmetic apart from the asymptotics module's floats.
 """
 
 from .asymptotics import (

@@ -34,13 +34,14 @@ def pi_count(o: Sequence, n_max: int) -> int:
 
 
 def _weighted_term(count: int, h: float, n: int) -> float:
-    if count == 0:
-        return 0.0
     try:
         return float(count) * math.exp(-h * n)
     except OverflowError:
         # count too big for a float on its own; fold it into the exponent
-        return math.exp(math.log(count) - h * n)
+        try:
+            return math.exp(math.log(count) - h * n)
+        except OverflowError:
+            return math.inf
 
 
 def mertens_sum(o: Sequence, n_max: int, h: float) -> float:

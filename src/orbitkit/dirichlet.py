@@ -1,40 +1,37 @@
-"""Truncated Dirichlet series with exact coefficients.
+"""Truncated Dirichlet series with integer coefficients.
 
-A DirichletPoly holds the coefficients of n^{-s} for n = 1..N from any
-iterable (DirichletPoly(s.terms) for a sequence s, sparse([(1, 1)], N) for
-the identity), as the ints or Fractions given; integers stay integers.
-Multiplication is Dirichlet convolution truncated to N; division is
-the unique exact inverse when the divisor has a nonzero leading
-coefficient.  Identities involving infinite Euler products are checked
-in cleared-denominator form, so only these finite objects ever exist.
+A DirichletPoly holds the int coefficients of n^{-s} for n = 1..N from
+any iterable (DirichletPoly(s.terms) for a sequence s, sparse([(1, 1)], N)
+for the identity).  Multiplication is Dirichlet convolution truncated
+to N; division is the unique inverse when the divisor has a nonzero
+leading coefficient and the quotient is integral.  Identities with
+infinite Euler products or 1/n weights are checked in cleared-denominator
+form, so only these finite integer objects ever exist.
 Multiplying and dividing by zeta run on its Euler product instead, one
 slice pass per prime power; the harmonic mul and div are their referee.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import add, sub
-from typing import Iterable, Union
+from typing import Iterable
 
 from .numtheory import _require_positive, primes_upto
 
-Rational = Union[int, Fraction]
-
 
 class DirichletPoly:
-    """Coefficients of 1^{-s} .. N^{-s}, each an int or a Fraction."""
+    """Int coefficients of 1^{-s} .. N^{-s}."""
 
     __slots__ = ("coeffs",)
-    coeffs: tuple[Rational, ...]
+    coeffs: tuple[int, ...]
 
-    def __init__(self, coeffs: Iterable[Rational]) -> None:
+    def __init__(self, coeffs: Iterable[int]) -> None:
         object.__setattr__(self, "coeffs", tuple(coeffs))
-        # bool, subclasses and inexact values take the loop, which names the index
-        if not set(map(type, self.coeffs)) <= {int, Fraction}:
+        # bool, subclasses and non-ints take the loop, which names the index
+        if not set(map(type, self.coeffs)) <= {int}:
             for n, c in enumerate(self.coeffs, start=1):
-                if not isinstance(c, (int, Fraction)):
-                    raise TypeError(f"coefficient {n} is not exact: {c!r}")
+                if not isinstance(c, int):
+                    raise TypeError(f"coefficient {n} is not an int: {c!r}")
         if len(self.coeffs) < 1:
             raise ValueError("a Dirichlet polynomial needs at least one coefficient")
 
@@ -57,7 +54,7 @@ class DirichletPoly:
     def __len__(self) -> int:
         return len(self.coeffs)
 
-    def __getitem__(self, n: int) -> Rational:
+    def __getitem__(self, n: int) -> int:
         """Coefficient of n^{-s} (one-based)."""
         if not 1 <= n <= len(self.coeffs):
             raise IndexError(f"index {n} outside 1..{len(self.coeffs)}")
@@ -80,10 +77,10 @@ def zeta_poly(n_terms: int) -> DirichletPoly:
     return zeta_shift(0, n_terms)
 
 
-def sparse(entries: Iterable[tuple[int, Rational]], n_terms: int) -> DirichletPoly:
+def sparse(entries: Iterable[tuple[int, int]], n_terms: int) -> DirichletPoly:
     """Polynomial with the given (index, coefficient) entries, rest zero."""
     _require_positive(n_terms, "n_terms")
-    coeffs: list[Rational] = [0] * n_terms
+    coeffs: list[int] = [0] * n_terms
     seen: set[int] = set()
     for idx, value in entries:
         if not 1 <= idx <= n_terms:
@@ -98,7 +95,7 @@ def sparse(entries: Iterable[tuple[int, Rational]], n_terms: int) -> DirichletPo
 def mul(a: DirichletPoly, b: DirichletPoly) -> DirichletPoly:
     """Dirichlet convolution, truncated to min(|a|, |b|)."""
     n_out = min(len(a), len(b))
-    out: list[Rational] = [0] * n_out
+    out: list[int] = [0] * n_out
     for d, ad in enumerate(a.coeffs[:n_out], start=1):
         if ad != 0:
             for i, be in zip(range(d - 1, n_out, d), b.coeffs):
@@ -111,24 +108,27 @@ def div(a: DirichletPoly, b: DirichletPoly) -> DirichletPoly:
     """The unique c with mul(b, c) = a, term by term; needs b(1) != 0.
 
     c(d) is final once each proper divisor of d has pushed its term
-    forward; it is a Fraction only where b(1) does not divide it.
+    forward.  Raises ValueError at the first d where b(1) does not
+    divide it, the first index where c is not an integer.
     """
     b1 = b[1]
     if b1 == 0:
         raise ZeroDivisionError("divisor has zero leading coefficient")
     n_out = min(len(a), len(b))
-    out: list[Rational] = list(a.coeffs[:n_out])
+    out: list[int] = list(a.coeffs[:n_out])
     b_rest = b.coeffs[1:]
     for d in range(1, n_out + 1):
         acc = out[d - 1]
-        c = out[d - 1] = acc // b1 if acc % b1 == 0 else Fraction(acc, b1)
+        if acc % b1:
+            raise ValueError(f"quotient coefficient {d} is not an integer")
+        c = out[d - 1] = acc // b1
         if c != 0:
             for i, be in zip(range(2 * d - 1, n_out, d), b_rest):
                 out[i] -= c * be
     return DirichletPoly(tuple(out))
 
 
-def times_zeta(a: Iterable[Rational]) -> list[Rational]:
+def times_zeta(a: Iterable[int]) -> list[int]:
     """Divisor sums of a: a times zeta = prod_p (1 + p^-s)(1 + p^-2s)(1 + p^-4s)..."""
     out = list(a)
     n = len(out)
@@ -140,7 +140,7 @@ def times_zeta(a: Iterable[Rational]) -> list[Rational]:
     return out
 
 
-def over_zeta(a: Iterable[Rational]) -> list[Rational]:
+def over_zeta(a: Iterable[int]) -> list[int]:
     """Moebius sums of a: a divided by zeta, times (1 - p^-s) for each prime p."""
     out = list(a)
     n = len(out)
@@ -158,7 +158,7 @@ def dilate(a: DirichletPoly, k: int) -> DirichletPoly:
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"dilation power must be an integer >= 1, got {k!r}")
     n_out = len(a)
-    out: list[Rational] = [0] * n_out
+    out: list[int] = [0] * n_out
     j = 1
     while j**k <= n_out:
         out[j**k - 1] = a[j]

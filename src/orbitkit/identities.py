@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from . import asymptotics, dirichlet, operators, oracle, transforms, zetaseries
@@ -451,12 +450,11 @@ def _ttimest(n: int) -> None:
 
 @identity("fix-series", 100, "orbit series times zeta(s+1) is the fix series")
 def _fix_series(n: int) -> None:
-    shift = dirichlet.DirichletPoly(Fraction(1, m) for m in range(1, n + 1))
+    # cleared form: coefficient m times m, so m*O(m) times zeta(s) is F(m)
     for f in (golden_mean(n), full_shift(2, n)):
         o = transforms.fix_to_orbit(f)
-        lhs = dirichlet.mul(dirichlet.DirichletPoly(o.terms), shift)
-        rhs = dirichlet.DirichletPoly(Fraction(f[m], m) for m in range(1, n + 1))
-        _expect(lhs, rhs, "fix series identity fails")
+        m_o = dirichlet.DirichletPoly(m * o[m] for m in range(1, n + 1))
+        _expect(dirichlet.mul(m_o, dirichlet.zeta_poly(n)), f, "fix series identity fails")
 
 
 @identity("iterate-id2-series", 100, "squared identity map has series (5 - 2/2^s) zeta(s-1)")
@@ -614,9 +612,10 @@ def _euler_partitions(n: int) -> None:
 
 
 def _monoid_closed_form(f: Sequence, expected: list, detail: str) -> None:
-    """Monoid counts of fixed-point data f by the Euler route and by the series route."""
-    _expect(expected, transforms.euler(transforms.fix_to_orbit(f)), detail)
-    _expect(expected, zetaseries.zeta_from_fix(f), f"series route: {detail}")
+    """Monoid counts of fixed-point data f by the Euler route and by the product route."""
+    o = transforms.fix_to_orbit(f)
+    _expect(expected, transforms.euler(o), detail)
+    _expect(expected, zetaseries.product_formula(o), f"product route: {detail}")
 
 
 @identity("golden-mean-monoid", 30, "golden mean monoid counts are shifted Fibonacci")

@@ -192,7 +192,8 @@ def dirichlet_mul_brute(a, b):
 
 
 def dirichlet_div_brute(a, b):
-    """The c with b * c = a, solved index by index over all pairs, in Fractions."""
+    """The c with b * c = a, solved index by index over all pairs in Fractions;
+    its ints, or the ValueError that div raises at the first non-integer."""
     n_out = min(len(a), len(b))
     c = []
     for n in range(1, n_out + 1):
@@ -202,7 +203,10 @@ def dirichlet_div_brute(a, b):
                 if d * e == n:
                     acc -= c[d - 1] * b[e - 1]
         c.append(acc / b[0])
-    return c
+    for n, value in enumerate(c, start=1):
+        if value.denominator != 1:
+            raise ValueError(f"quotient coefficient {n} is not an integer")
+    return [int(value) for value in c]
 
 
 class SubInt(int):
@@ -230,8 +234,8 @@ def sequence_terms_brute(terms):
 def dirichlet_coeffs_brute(coeffs):
     """The coefficients as DirichletPoly must store them, checked one at a time."""
     for n, c in enumerate(coeffs, start=1):
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError(f"coefficient {n} is not exact: {c!r}")
+        if not isinstance(c, int):
+            raise TypeError(f"coefficient {n} is not an int: {c!r}")
     return tuple(coeffs)
 
 

@@ -76,3 +76,10 @@ def test_weighted_term_survives_huge_counts():
     assert math.isfinite(total)
     tail = math.exp(2000 * LN2 - 1400)
     assert total == pytest.approx(sum(math.exp(-n) for n in range(1, 1400)) + tail)
+
+
+def test_mertens_sum_past_the_float_range():
+    # 2^2000 e^{-10} is about e^1376, past the float range: the sum is inf
+    big = Sequence(View.ORBIT, (1, 2**2000))
+    assert mertens_sum(big, 1, 5.0) == math.exp(-5.0)
+    assert mertens_sum(big, 2, 5.0) == math.inf

@@ -271,9 +271,12 @@ def test_growth_report(capsys):
     assert float(lines["pi_predicted"]) == pytest.approx(2**21 / 20)
 
 
-@pytest.mark.parametrize("h, terms", [("0.693147", "1024"), ("1000", "20"), ("1e-20", "5")])
+@pytest.mark.parametrize(
+    "h, terms", [("0.693147", "1024"), ("1000", "20"), ("1e-20", "5"), ("0.01", "1100")]
+)
 def test_growth_past_the_float_range(capsys, h, terms):
     # e^{h(N+1)} overflows, or e^h - 1 rounds to 0; the prediction itself may still be a float
+    # at h = 0.01, O(1100) e^{-11} is about 2^1100 e^{-11} / 1100, past the float range
     code, out, err = run_cli(
         capsys, "growth", "--name", "full_shift", "--param", "a=2",
         "--h", h, "--c1", "1", "--terms", terms,
@@ -285,6 +288,8 @@ def test_growth_past_the_float_range(capsys, h, terms):
         n, rate = int(terms), decimal.Decimal(float(h))
         expected = float((rate * (n + 1)).exp() / (n * (rate.exp() - 1)))
     assert float(lines["pi_predicted"]) == pytest.approx(expected, rel=1e-9)
+    if h == "0.01":
+        assert lines["mertens_actual"] == "inf"
 
 
 @pytest.mark.parametrize("flag", ["--h", "--c1"])
@@ -533,11 +538,12 @@ def test_main_restores_the_digit_limit(capsys, default_digit_limit, argv):
 
 def test_cli_import_skips_dataclasses_and_json():
     # dataclasses (and the inspect it imports) compile methods at import time;
-    # json is needed only by factor --json
+    # json is needed only by factor --json; the library computes in ints, so
+    # nothing imports fractions (or the decimal it loads)
     src = str(Path(orbitkit.__file__).resolve().parent.parent)
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import orbitkit.cli; "
-        "print(sorted({'dataclasses', 'inspect', 'json'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'json', 'fractions', 'decimal'} & set(sys.modules)))"
     )
     done = subprocess.run(
         [sys.executable, "-S", "-c", probe], capture_output=True, text=True, check=True

@@ -16,9 +16,7 @@ from helpers import (
     outcome,
 )
 
-rationals = st.fractions(
-    min_value=-4, max_value=4, max_denominator=6
-)
+ints = st.integers(min_value=-6, max_value=6)
 
 
 def poly(*values):
@@ -39,11 +37,18 @@ def test_validation_agrees_with_per_term_loop(coeffs):
 
 
 def test_keeps_the_numbers_it_is_given():
-    p = poly(2, Fraction(1, 2), Fraction(4, 2))
-    assert p.coeffs == (2, Fraction(1, 2), 2)
-    assert type(p[1]) is int and type(p[2]) is Fraction
-    with pytest.raises(TypeError):
+    p = poly(2, -1, 10**40)
+    assert p.coeffs == (2, -1, 10**40)
+    assert all(type(c) is int for c in p)
+    # ints only, even where a Fraction or float is integral
+    with pytest.raises(TypeError, match=r"^coefficient 2 is not an int: Fraction\(1, 2\)$"):
+        poly(2, Fraction(1, 2), Fraction(4, 2))
+    with pytest.raises(TypeError, match=r"^coefficient 1 is not an int: Fraction\(2, 1\)$"):
+        poly(Fraction(4, 2))
+    with pytest.raises(TypeError, match="^coefficient 2 is not an int: 0.5$"):
         poly(1, 0.5)
+    with pytest.raises(TypeError, match="^coefficient 1 is not an int: 1.0$"):
+        poly(1.0)
 
 
 def test_one_indexed_getitem():
@@ -102,12 +107,15 @@ def test_div_ttimest_series():
     assert all(type(c) is int for c in got)
 
 
-def test_div_makes_a_fraction_only_where_needed():
-    got = div(poly(1, 1, 1, 1), poly(2, 0, 0, 1))
-    assert got.coeffs == (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 4))
-    got = div(poly(4, 2, 6, 3), poly(2, 0, 0, 0))
-    assert got.coeffs == (2, 1, 3, Fraction(3, 2))
-    assert [type(c) for c in got] == [int, int, int, Fraction]
+def test_div_rejects_a_non_integral_quotient():
+    # the quotients are (1/2, 1/2, 1/2, 1/4) and (2, 1, 3, 3/2)
+    with pytest.raises(ValueError, match="^quotient coefficient 1 is not an integer$"):
+        div(poly(1, 1, 1, 1), poly(2, 0, 0, 1))
+    with pytest.raises(ValueError, match="^quotient coefficient 4 is not an integer$"):
+        div(poly(4, 2, 6, 3), poly(2, 0, 0, 0))
+    got = div(poly(4, 2, 6, 2), poly(2, 0, 0, 0))
+    assert got.coeffs == (2, 1, 3, 1)
+    assert all(type(c) is int for c in got)
 
 
 def test_zeta_shift():
@@ -144,14 +152,14 @@ def test_sparse():
         sparse([(5, 1)], 4)  # out of range
 
 
-@given(st.lists(rationals, min_size=1, max_size=12), st.lists(rationals, min_size=1, max_size=12))
+@given(st.lists(ints, min_size=1, max_size=12), st.lists(ints, min_size=1, max_size=12))
 @settings(max_examples=40)
 def test_mul_commutes(a_coeffs, b_coeffs):
     a, b = DirichletPoly(a_coeffs), DirichletPoly(b_coeffs)
     assert mul(a, b) == mul(b, a)
 
 
-@given(st.lists(rationals, min_size=1, max_size=10))
+@given(st.lists(ints, min_size=1, max_size=10))
 @settings(max_examples=40)
 def test_div_inverts_mul(coeffs):
     b = DirichletPoly(coeffs)
@@ -159,9 +167,6 @@ def test_div_inverts_mul(coeffs):
         return
     a = poly(*range(1, len(coeffs) + 1))
     assert div(mul(a, b), b) == a
-
-
-ints = st.integers(min_value=-6, max_value=6)
 
 
 @given(st.lists(ints, min_size=1, max_size=30), st.lists(ints, min_size=1, max_size=30))
@@ -177,37 +182,48 @@ def test_integer_mul_matches_all_pairs_referee(a_coeffs, b_coeffs):
 def test_integer_div_matches_all_pairs_referee(a_coeffs, b_coeffs):
     if b_coeffs[0] == 0:
         return
-    got = div(DirichletPoly(a_coeffs), DirichletPoly(b_coeffs))
-    expected = dirichlet_div_brute(a_coeffs, b_coeffs)
-    assert list(got) == expected
-    # an int exactly where the value is integral
-    assert [type(c) is int for c in got] == [c.denominator == 1 for c in expected]
+    # the referee's ints, or the ValueError at its first non-integral coefficient
+    got = outcome(lambda: list(div(DirichletPoly(a_coeffs), DirichletPoly(b_coeffs))))
+    assert got == outcome(dirichlet_div_brute, a_coeffs, b_coeffs)
+    if isinstance(got, list):
+        assert all(type(c) is int for c in got)
 
 
-@given(st.lists(rationals, min_size=1, max_size=12), st.lists(rationals, min_size=1, max_size=12))
-@settings(max_examples=40)
-def test_rational_div_matches_all_pairs_referee(a_coeffs, b_coeffs):
+@given(
+    st.lists(ints, min_size=1, max_size=12),
+    st.lists(st.integers(min_value=-10**30, max_value=10**30), min_size=1, max_size=12),
+    st.data(),
+)
+@settings(max_examples=60)
+def test_div_names_the_first_non_integral_index(b_coeffs, c_coeffs, data):
     if b_coeffs[0] == 0:
         return
-    got = div(DirichletPoly(a_coeffs), DirichletPoly(b_coeffs))
-    assert list(got) == dirichlet_div_brute(a_coeffs, b_coeffs)
+    b = DirichletPoly(b_coeffs)
+    a = list(mul(b, DirichletPoly(c_coeffs)))
+    assert list(div(DirichletPoly(a), b)) == c_coeffs[: len(a)]
+    if abs(b_coeffs[0]) == 1:
+        return
+    # r e_k / b is zero below k and r / b(1) at k, so the quotient first fails at k
+    k = data.draw(st.integers(min_value=1, max_value=len(a)))
+    a[k - 1] += data.draw(st.integers(min_value=1, max_value=abs(b_coeffs[0]) - 1))
+    message = f"quotient coefficient {k} is not an integer"
+    assert outcome(div, DirichletPoly(a), b) == (ValueError, message)
+    assert outcome(dirichlet_div_brute, a, b_coeffs) == (ValueError, message)
 
 
 @st.composite
 def zeta_kernel_inputs(draw, max_size):
-    """1..max_size coefficients: small ints of either sign, Fractions, ints of
-    up to 3000 digits, or a mix.  A seeded Random builds the long lists, which
-    would overrun hypothesis's own buffer."""
+    """1..max_size coefficients: small ints of either sign, ints of up to 3000
+    digits, or a mix.  A seeded Random builds the long lists, which would
+    overrun hypothesis's own buffer."""
     n = draw(st.integers(min_value=1, max_value=max_size))
-    kind = draw(st.sampled_from(("int", "fraction", "huge", "mixed")))
+    kind = draw(st.sampled_from(("int", "huge", "mixed")))
     rng = Random(draw(st.integers(min_value=0, max_value=2**32)))
 
     def term():
-        k = rng.choice(("int", "fraction", "huge")) if kind == "mixed" else kind
+        k = rng.choice(("int", "huge")) if kind == "mixed" else kind
         if k == "int":
             return rng.randint(-50, 50)
-        if k == "fraction":
-            return Fraction(rng.randint(-50, 50), rng.randint(1, 12))
         return rng.randint(-(10**3000), 10**3000)
 
     return [term() for _ in range(n)]
@@ -220,8 +236,7 @@ def test_zeta_kernels_match_the_harmonic_loops(coeffs):
     times, over = times_zeta(coeffs), over_zeta(coeffs)
     assert times == list(mul(a, zeta))
     assert over == list(div(a, zeta))
-    if all(type(c) is int for c in coeffs):
-        assert all(type(c) is int for c in times + over)
+    assert all(type(c) is int for c in times + over)
 
 
 @given(zeta_kernel_inputs(60))

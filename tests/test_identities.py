@@ -1,6 +1,6 @@
 import pytest
 
-from orbitkit import factor_search, identities, operators, transforms
+from orbitkit import factor_search, identities, operators, transforms, zetaseries
 from orbitkit.cli import main
 from orbitkit.identities import (
     REGISTRY,
@@ -51,6 +51,36 @@ def _euler_off_by_one_at_3(monkeypatch):
         return Sequence(g.view, tuple(terms))
 
     monkeypatch.setattr(transforms, "euler", wrong)
+
+
+# the identities a wrong third product-formula term breaks at default terms
+_PRODUCT_AT_3_FAILURES = {
+    "three-route-monoid": "zeta function routes disagree",
+    "golden-mean-monoid": "product route: monoid counts are not Fibonacci(n+1)",
+    "full-shift-monoid": "product route: monoid counts wrong for a=2",
+    "dual-rational-monoid": "product route: monoid counts wrong for (1,2)",
+    "s-integer-monoid": "product route disagrees with the recurrence",
+}
+
+
+def test_wrong_product_formula_term_is_reported_at_its_index(monkeypatch):
+    # the closed-form monoid checks compare the product route with the Euler recurrence
+    real = zetaseries.product_formula
+
+    def wrong(o):
+        g = real(o)
+        if len(g) < 3:
+            return g
+        return Sequence(g.view, (*g.terms[:2], g.terms[2] + 1, *g.terms[3:]))
+
+    monkeypatch.setattr(zetaseries, "product_formula", wrong)
+    for name in REGISTRY:
+        result = run(name)
+        if name in _PRODUCT_AT_3_FAILURES:
+            assert (result.ok, result.failing_index) == (False, 3), name
+            assert result.detail == _PRODUCT_AT_3_FAILURES[name]
+        else:
+            assert result.ok, name
 
 
 # the identities a wrong third Euler term breaks at default terms
