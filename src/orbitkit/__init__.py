@@ -2,10 +2,12 @@
 
 A sequence is read as per-period orbit counts (or fixed-point counts)
 of a dynamical system.  The library provides the transforms between
-the orbit, fixed-point and orbit-monoid views, product/union/iterate
-operators, Dirichlet and zeta series identities, growth asymptotics,
-a brute-force simulation oracle, and a factorization search — all in
-exact integer arithmetic apart from the asymptotics module's floats.
+the orbit, fixed-point and orbit-monoid views (``convert(f, View.MONOID)``
+is the dynamical zeta power series of fixed-point data f),
+product/union/iterate operators, Dirichlet and zeta series identities,
+growth asymptotics, a brute-force simulation oracle, and a
+factorization search — all in exact integer arithmetic apart from the
+asymptotics module's floats.
 """
 
 from .asymptotics import (
@@ -57,15 +59,13 @@ from .transforms import (
     NegativeError,
     NonIntegralError,
     NotRealizableError,
-    Realizability,
     convert,
     euler,
     euler_inverse,
     fix_to_orbit,
     is_multiplicative,
     orbit_to_fix,
-    realizable_as_fix,
 )
-from .zetaseries import product_formula, zeta_from_fix
+from .zetaseries import product_formula
 
 __version__ = "0.1.0"

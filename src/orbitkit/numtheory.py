@@ -120,9 +120,9 @@ class PrimeSet:
     cofinite: bool
     primes: tuple[int, ...]
 
-    def __init__(self, cofinite: bool, primes: tuple[int, ...]) -> None:
+    def __init__(self, cofinite: bool, primes: Iterable[int]) -> None:
         object.__setattr__(self, "cofinite", cofinite)
-        object.__setattr__(self, "primes", primes)
+        object.__setattr__(self, "primes", tuple(primes))
         last = 1
         for p in self.primes:
             if not is_prime(p):
@@ -149,12 +149,12 @@ class PrimeSet:
 
     @classmethod
     def finite(cls, primes: Iterable[int] = ()) -> "PrimeSet":
-        return cls(False, tuple(sorted(set(primes))))
+        return cls(False, sorted(set(primes)))
 
     @classmethod
     def all_except(cls, excluded: Iterable[int] = ()) -> "PrimeSet":
         """The cofinite set of all primes outside ``excluded``."""
-        return cls(True, tuple(sorted(set(excluded))))
+        return cls(True, sorted(set(excluded)))
 
     def complement(self) -> "PrimeSet":
         return PrimeSet(not self.cofinite, self.primes)

@@ -3,9 +3,10 @@
 orbit -> fix is the divisor sum F(n) = sum_{d|n} d * O(d): the series
 n*O(n) times zeta, by dirichlet.times_zeta.  fix -> orbit is its Moebius
 inversion: dirichlet.over_zeta.  orbit <-> monoid is the Euler
-transform, computed through n*G(n) = F(n) + sum_{k<n} F(k) G(n-k).
-All arithmetic is exact; failures of integrality or positivity are how
-non-realizable inputs announce themselves.
+transform, by monoid_counts; convert(f, View.MONOID) is the dynamical
+zeta power series of realizable fixed-point data f.  All arithmetic is
+exact; failures of integrality or positivity are how non-realizable
+inputs announce themselves.
 """
 
 from __future__ import annotations
@@ -21,34 +22,21 @@ from .sequences import Sequence, View
 class NotRealizableError(ValueError):
     """The data cannot be the fixed-point counts of any map.
 
-    ``index`` is the smallest offending one-based index; ``kind`` is
-    "nonintegral" or "negative".
+    ``index`` is the smallest offending one-based index; the subclass,
+    NonIntegralError or NegativeError, says what went wrong there.
     """
 
-    def __init__(self, index: int, kind: str, message: str) -> None:
+    def __init__(self, index: int, message: str) -> None:
         super().__init__(message)
         self.index = index
-        self.kind = kind
 
 
 class NonIntegralError(NotRealizableError):
-    def __init__(self, index: int, message: Optional[str] = None) -> None:
-        super().__init__(
-            index, "nonintegral", message or f"orbit count at n={index} is not integral"
-        )
+    """A count that must be an integer is not."""
 
 
 class NegativeError(NotRealizableError):
-    def __init__(self, index: int, message: Optional[str] = None) -> None:
-        super().__init__(
-            index, "negative", message or f"orbit count at n={index} is negative"
-        )
-
-
-class Realizability(NamedTuple):
-    ok: bool
-    index: Optional[int]
-    kind: Optional[str]
+    """A count that must be nonnegative is negative."""
 
 
 def orbit_to_fix(o: Sequence) -> Sequence:
@@ -64,9 +52,9 @@ def _invert_fix_terms(terms: Vector[int]) -> list[int]:
     for n, total in enumerate(dirichlet.over_zeta(terms), start=1):
         q, r = divmod(total, n)
         if r:
-            raise NonIntegralError(n)
+            raise NonIntegralError(n, f"orbit count at n={n} is not integral")
         if q < 0:
-            raise NegativeError(n)
+            raise NegativeError(n, f"orbit count at n={n} is negative")
         out.append(q)
     return out
 
@@ -76,24 +64,13 @@ def fix_to_orbit(f: Sequence) -> Sequence:
     return Sequence(View.ORBIT, tuple(_invert_fix_terms(f.terms)))
 
 
-def realizable_as_fix(s: Sequence) -> Realizability:
-    """Whether s could be fixed-point data, with the first failing index.
-
-    Ignores the view tag: the question makes sense for raw data.
-    """
-    try:
-        _invert_fix_terms(s.terms)
-    except NotRealizableError as err:
-        return Realizability(False, err.index, err.kind)
-    return Realizability(True, None, None)
-
-
 def monoid_counts(fix: Vector[int]) -> list[int]:
     """Weight counts G(1..N) of the orbit monoid with fixed-point counts fix.
 
     Runs n*G(n) = F(n) + sum_{k<n} F(k) G(n-k) in ints: the Euler
     transform, and the coefficients of exp(sum F(n) s^n / n).  Raises at
-    the first n whose G(n) is not a nonnegative integer.
+    the first n whose G(n) is not a nonnegative integer, and checks no
+    more: F = (2, 0) gives G = (2, 2), yet fix_to_orbit rejects it.
     """
     g: list[int] = []
     for n in range(1, len(fix) + 1):
@@ -160,7 +137,7 @@ def convert(s: Sequence, view: View) -> Sequence:
     if s.view is View.ORBIT:
         return orbit_to_fix(s) if view is View.FIX else euler(s)
     if s.view is View.FIX:
-        o = fix_to_orbit(s)
-        return o if view is View.ORBIT else euler(o)
+        o = fix_to_orbit(s)  # raises unless s is realizable
+        return o if view is View.ORBIT else Sequence(View.MONOID, monoid_counts(s.terms))
     o = euler_inverse(s)
     return o if view is View.ORBIT else orbit_to_fix(o)

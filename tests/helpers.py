@@ -13,7 +13,7 @@ from random import Random
 import pytest
 from hypothesis import strategies as st
 
-from orbitkit import Sequence, View
+from orbitkit import NegativeError, NonIntegralError, Sequence, View
 
 # for tests that set Python's int/str digit limit (3.10.7 and later have one)
 needs_digit_limit = pytest.mark.skipif(
@@ -56,14 +56,14 @@ def fix_from_orbit_brute(o: Sequence):
 
 def invert_fix_brute(fix):
     """Orbit counts O(n) = (1/n) sum_{d|n} mu(n/d) F(d), one n at a time, or
-    the (index, kind) of the first that is not a nonnegative integer."""
+    the (index, error class) of the first that is not a nonnegative integer."""
     out = []
     for n in range(1, len(fix) + 1):
         total = sum(mobius_brute(n // d) * fix[d - 1] for d in divisors_brute(n))
         if total % n:
-            return n, "nonintegral"
+            return n, NonIntegralError
         if total < 0:
-            return n, "negative"
+            return n, NegativeError
         out.append(total // n)
     return out
 
@@ -71,14 +71,14 @@ def invert_fix_brute(fix):
 def euler_inverse_brute(g):
     """Orbit counts whose Euler transform is g: fix counts from
     n g(n) = F(n) + sum_{k<n} F(k) g(n-k), one index at a time, then
-    invert_fix_brute; or the (index, kind) of the first failure."""
+    invert_fix_brute; or the (index, error class) of the first failure."""
     fix = []
     for n in range(1, len(g) + 1):
         value = n * g[n - 1]
         for k in range(1, n):
             value -= fix[k - 1] * g[n - k - 1]
         if value < 0:
-            return n, "negative"
+            return n, NegativeError
         fix.append(value)
     return invert_fix_brute(fix)
 
@@ -157,7 +157,7 @@ def exp_series(a):
     """exp of a power series with zero constant term, in Fractions.
 
     Uses b' = a' b, i.e. n b(n) = sum_{k<=n} k a(k) b(n-k): the rational
-    recurrence that zeta_from_fix once ran, kept as its referee.
+    form of transforms.monoid_counts' recurrence, kept as its referee.
     """
     if a[0] != 0:
         raise ValueError(f"exp_series needs zero constant term, got {a[0]}")
@@ -168,15 +168,15 @@ def exp_series(a):
     return out
 
 
-def zeta_from_fix_brute(fix):
-    """Coefficients of exp(sum F(n) s^n / n) as ints, or the (index, kind)
-    of the first one that is not a nonnegative integer."""
+def zeta_series_brute(fix):
+    """Coefficients of exp(sum F(n) s^n / n) as ints, or the (index, error
+    class) of the first one that is not a nonnegative integer."""
     series = exp_series([0] + [Fraction(f, n) for n, f in enumerate(fix, start=1)])
     for i, c in enumerate(series):
         if c.denominator != 1:
-            return i, "nonintegral"
+            return i, NonIntegralError
         if c < 0:
-            return i, "negative"
+            return i, NegativeError
     return [int(c) for c in series]
 
 

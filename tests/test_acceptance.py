@@ -13,6 +13,7 @@ from orbitkit import (
     DirichletPoly,
     Sequence,
     View,
+    convert,
     cyclic_subgroup_count,
     dilate,
     div,
@@ -36,7 +37,6 @@ from orbitkit import (
     simulate_iterate,
     simulate_product,
     sparse,
-    zeta_from_fix,
     zeta_poly,
     zeta_shift,
 )
@@ -141,9 +141,9 @@ def _euler_transforms():
     assert g[5] == 8
     # zeta(s) = 1/(1 - a s) forces G(n) = a^n for the full shift
     for a in (2, 3):
-        g = zeta_from_fix(full_shift(a, 20)).terms
+        g = convert(full_shift(a, 20), View.MONOID).terms
         assert g == tuple(a**m for m in range(1, 21))
-    g = zeta_from_fix(dual_rational(2, 3, 20)).terms
+    g = convert(dual_rational(2, 3, 20), View.MONOID).terms
     assert g == tuple(3 ** (m - 1) for m in range(1, 21))
 
 

@@ -130,6 +130,15 @@ class TestPrimeSet:
         with pytest.raises(ValueError, match="distinct and ascending"):
             PrimeSet(False, (3, 2))
 
+    def test_keeps_any_iterable_as_a_tuple(self):
+        # equal sets compare equal and hash alike, however the primes came in
+        for given_primes in ([2, 3], iter((2, 3)), range(2, 4)):
+            s = PrimeSet(False, given_primes)
+            assert s.primes == (2, 3)
+            assert s == PrimeSet.finite((3, 2))
+            assert hash(s) == hash(PrimeSet.finite((2, 3)))
+        assert PrimeSet(True, [5]) == PrimeSet.all_except((5,))
+
     @given(st.lists(st.sampled_from(primes_upto(60)), max_size=6), st.booleans(),
            st.integers(1, 200))
     def test_s_p_matches_brute_indicator(self, listed, cofinite, n):

@@ -16,9 +16,10 @@ from orbitkit import (
     fix_to_orbit,
     is_multiplicative,
     orbit_to_fix,
-    realizable_as_fix,
+    product_formula,
 )
 from orbitkit.sequences import geometric, golden_mean, id_orbits, zeta
+from orbitkit.transforms import monoid_counts
 from helpers import (
     euler_inverse_brute,
     fix_from_orbit_brute,
@@ -76,15 +77,31 @@ def test_moebius_roundtrip(terms):
 def test_invert_fix_matches_brute(terms):
     f = Sequence(View.FIX, tuple(terms))
     expected = invert_fix_brute(terms)
-    report = realizable_as_fix(f)
     if isinstance(expected, list):
-        assert report.ok
         assert list(fix_to_orbit(f)) == expected
     else:
-        assert (report.ok, report.index, report.kind) == (False, *expected)
         with pytest.raises(NotRealizableError) as err:
             fix_to_orbit(f)
-        assert (err.value.index, err.value.kind) == expected
+        assert (err.value.index, type(err.value)) == expected
+
+
+@given(fix_data())
+@settings(max_examples=200)
+def test_fix_to_monoid_is_the_zeta_series(terms):
+    f = Sequence(View.FIX, tuple(terms))
+    try:
+        o = fix_to_orbit(f)
+    except NotRealizableError as expected:
+        with pytest.raises(NotRealizableError) as err:
+            convert(f, View.MONOID)
+        assert (type(err.value), err.value.index, str(err.value)) == (
+            type(expected), expected.index, str(expected)
+        )
+    else:
+        g = convert(f, View.MONOID)
+        assert g.view is View.MONOID
+        assert list(g) == monoid_counts(f.terms)
+        assert g == product_formula(o)
 
 
 @st.composite
@@ -114,28 +131,24 @@ def test_long_and_huge_data_match_brute(data):
     assert fix_to_orbit(Sequence(View.FIX, tuple(fix))) == o
     expected = invert_fix_brute(bad)
     f = Sequence(View.FIX, tuple(bad))
-    report = realizable_as_fix(f)
     if isinstance(expected, list):
-        assert report.ok and list(fix_to_orbit(f)) == expected
+        assert list(fix_to_orbit(f)) == expected
     else:
-        assert (report.ok, report.index, report.kind) == (False, *expected)
         with pytest.raises(NotRealizableError) as err:
             fix_to_orbit(f)
-        assert (err.value.index, err.value.kind) == expected
+        assert (err.value.index, type(err.value)) == expected
 
 
 def test_fix_to_orbit_nonintegral():
-    with pytest.raises(NonIntegralError) as err:
+    with pytest.raises(NonIntegralError, match="^orbit count at n=2 is not integral$") as err:
         fix_to_orbit(Sequence(View.FIX, (1, 2)))
     assert err.value.index == 2
-    assert err.value.kind == "nonintegral"
 
 
 def test_fix_to_orbit_negative():
-    with pytest.raises(NegativeError) as err:
+    with pytest.raises(NegativeError, match="^orbit count at n=2 is negative$") as err:
         fix_to_orbit(Sequence(View.FIX, (3, 1)))
     assert err.value.index == 2
-    assert err.value.kind == "negative"
 
 
 def test_not_realizable_is_value_error():
@@ -143,18 +156,19 @@ def test_not_realizable_is_value_error():
 
 
 def test_realizable_reports():
-    ok = realizable_as_fix(Sequence(View.FIX, (1, 3, 4, 7)))
-    assert ok.ok and ok.index is None and ok.kind is None
-    bad = realizable_as_fix(Sequence(View.FIX, (1, 2)))
-    assert (bad.ok, bad.index, bad.kind) == (False, 2, "nonintegral")
-    bad = realizable_as_fix(Sequence(View.FIX, (3, 1)))
-    assert (bad.ok, bad.index, bad.kind) == (False, 2, "negative")
+    # realizable data gives its orbits; the error's class says why, .index where
+    assert fix_to_orbit(Sequence(View.FIX, (1, 3, 4, 7))).terms == (1, 1, 1, 1)
+    for terms, error in (((1, 2), NonIntegralError), ((3, 1), NegativeError)):
+        with pytest.raises(NotRealizableError) as err:
+            fix_to_orbit(Sequence(View.FIX, terms))
+        assert (err.value.index, type(err.value)) == (2, error)
 
 
 def test_realizable_first_failure_wins():
     # index 2 already fails; index 4 would too
-    bad = realizable_as_fix(Sequence(View.FIX, (1, 2, 1, 2)))
-    assert bad.index == 2
+    with pytest.raises(NonIntegralError) as err:
+        fix_to_orbit(Sequence(View.FIX, (1, 2, 1, 2)))
+    assert err.value.index == 2
 
 
 def test_euler_zeta_is_partitions():
@@ -207,7 +221,7 @@ def test_euler_inverse_matches_brute(terms):
     if isinstance(expected, tuple):
         with pytest.raises(NotRealizableError) as err:
             euler_inverse(g)
-        assert (err.value.index, err.value.kind) == expected
+        assert (err.value.index, type(err.value)) == expected
     else:
         assert list(euler_inverse(g)) == expected
 

@@ -4,17 +4,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitkit import (
+    NegativeError,
     NonIntegralError,
     NotRealizableError,
     Sequence,
     View,
     ViewError,
+    convert,
     euler,
     fix_to_orbit,
     orbit_to_fix,
     product_formula,
-    realizable_as_fix,
-    zeta_from_fix,
 )
 from orbitkit.identities import PARTITION_TERMS
 from orbitkit.oracle import monoid_by_partitions
@@ -26,10 +26,13 @@ from orbitkit.sequences import (
     s_integer_23,
     zeta,
 )
-from helpers import exp_series, zeta_from_fix_brute
+from orbitkit.transforms import monoid_counts
+from helpers import exp_series, zeta_series_brute
 
 
-# exp_series is the Fraction referee in tests/helpers.py
+# exp_series is the Fraction referee in tests/helpers.py.  The zeta series
+# of fixed-point data ("zeta_from_fix" in the test names) is
+# transforms.monoid_counts, which convert(f, View.MONOID) runs.
 
 
 def test_exp_of_zero():
@@ -53,42 +56,49 @@ def test_exp_geometric_log():
 
 
 def test_zeta_from_fix_golden_mean():
-    got = zeta_from_fix(golden_mean(6))
+    got = convert(golden_mean(6), View.MONOID)
     assert got.view is View.MONOID
     assert got.terms == (1, 2, 3, 5, 8, 13)
     assert all(type(c) is int for c in got)
 
 
 def test_zeta_from_fix_dual_rational():
-    got = zeta_from_fix(dual_rational(2, 3, 5))
-    assert got.terms == (1, 3, 9, 27, 81)
+    assert monoid_counts(dual_rational(2, 3, 5).terms) == [1, 3, 9, 27, 81]
 
 
 def test_zeta_from_fix_full_shift():
     # 1/(1 - 2s): the monoid count G(n) = 2^n, forced by the Euler
     # recurrence n G(n) = F(n) + sum F(k) G(n-k)
-    got = zeta_from_fix(full_shift(2, 5))
-    assert got.terms == (2, 4, 8, 16, 32)
-    assert got == euler(fix_to_orbit(full_shift(2, 5)))
+    got = monoid_counts(full_shift(2, 5).terms)
+    assert got == [2, 4, 8, 16, 32]
+    assert got == list(euler(fix_to_orbit(full_shift(2, 5))))
 
 
 def test_zeta_from_fix_view_check():
-    with pytest.raises(ViewError):
-        zeta_from_fix(zeta(4))
+    # convert reads the view tag: orbit data goes through euler, and is
+    # not expanded as if it were fixed-point data
+    o = zeta(4)
+    assert convert(o, View.MONOID).terms == (1, 2, 3, 5)
+    assert monoid_counts(o.terms) == [1, 1, 1, 1]
 
 
 def test_zeta_from_fix_rejects_unrealizable():
-    with pytest.raises(NonIntegralError) as err:
-        zeta_from_fix(Sequence(View.FIX, (1, 2)))
+    with pytest.raises(NonIntegralError, match="^monoid count at n=2 is not integral$") as err:
+        monoid_counts((1, 2))
+    assert err.value.index == 2
+    with pytest.raises(NonIntegralError, match="^orbit count at n=2 is not integral$") as err:
+        convert(Sequence(View.FIX, (1, 2)), View.MONOID)
     assert err.value.index == 2
 
 
 def test_zeta_from_fix_checks_only_monoid_counts():
-    # G = (2, 2) are nonnegative integers, yet O(2) = (F(2) - F(1)) / 2 = -1
+    # G = (2, 2) are nonnegative integers, yet O(2) = (F(2) - F(1)) / 2 = -1,
+    # which convert finds before it expands the series
     f = Sequence(View.FIX, (2, 0))
-    assert zeta_from_fix(f).terms == (2, 2)
-    report = realizable_as_fix(f)
-    assert (report.ok, report.index, report.kind) == (False, 2, "negative")
+    assert monoid_counts(f.terms) == [2, 2]
+    with pytest.raises(NegativeError) as err:
+        convert(f, View.MONOID)
+    assert err.value.index == 2
 
 
 def test_product_formula_partitions():
@@ -111,7 +121,7 @@ def test_s_integer_ninth_term():
     # both series routes agree that the ninth monoid count is 122
     o = fix_to_orbit(s_integer_23(10))
     via_product = product_formula(o)
-    via_exp = zeta_from_fix(s_integer_23(10))
+    via_exp = convert(s_integer_23(10), View.MONOID)
     assert via_product == via_exp
     assert via_product.terms[:8] == (1, 1, 3, 4, 10, 13, 33, 56)
     assert via_product[9] == 122
@@ -146,13 +156,12 @@ fix_data = st.one_of(
 @given(fix_data)
 @settings(max_examples=200)
 def test_zeta_from_fix_matches_fraction_referee(fix):
-    expected = zeta_from_fix_brute(fix)
-    f = Sequence(View.FIX, tuple(fix))
+    expected = zeta_series_brute(fix)
     if isinstance(expected, tuple):
         with pytest.raises(NotRealizableError) as err:
-            zeta_from_fix(f)
-        assert (err.value.index, err.value.kind) == expected
+            monoid_counts(fix)
+        assert (err.value.index, type(err.value)) == expected
     else:
-        got = zeta_from_fix(f)
-        assert got.terms == tuple(expected[1:])
+        got = monoid_counts(fix)
+        assert got == expected[1:]
         assert all(type(c) is int for c in got)
