@@ -1,16 +1,17 @@
 """Named, machine-checkable identities behind the `verify` subcommand.
 
 Every invariant promised by the library is registered here under a
-stable name, as a function of a term count.  Randomized checks use
-fixed seeds, so identical invocations give identical results.  A check
-returns None when its identity holds and otherwise raises `Mismatch`
-with the first failing index, when there is one.  Every elementwise
-comparison goes through `_expect`, which finds that index; checks that
-are not elementwise equality (multiplicativity witnesses, envelopes,
-orderings, counts) raise `Mismatch` themselves.  `run` alone turns
-either outcome into a `VerifyResult`.  It reports a kernel's
-`NotRealizableError` as a failure at its index, and re-raises any
-other exception as a RuntimeError that names the identity.
+stable name, as a function of a term count.  Randomized checks draw
+their cases from `_cases`, one `random.Random` per fixed seed, so
+identical invocations give identical results.  A check returns None
+when its identity holds and otherwise raises `Mismatch` with the first
+failing index, when there is one.  Every elementwise comparison goes
+through `_expect`, which finds that index; checks that are not
+elementwise equality (multiplicativity witnesses, envelopes, orderings,
+counts) raise `Mismatch` themselves.  `run` alone turns either outcome
+into a `VerifyResult`.  It reports a kernel's `NotRealizableError` as a
+failure at its index, and re-raises any other exception as a
+RuntimeError that names the identity.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from operator import methodcaller
 from typing import Callable, NamedTuple, Optional
 
 from . import asymptotics, dirichlet, operators, oracle, transforms, zetaseries
@@ -119,24 +121,37 @@ def _expect(expected, actual, detail: str) -> None:
     raise Mismatch(first + 1, detail)
 
 
-def _random_orbit(rng: random.Random, n: int, max_term: int) -> Sequence:
-    return Sequence(View.ORBIT, tuple(rng.randint(0, max_term) for _ in range(n)))
+def _cases(seed: int, count: int, *draws: Callable[[random.Random], object]):
+    """Yield `count` tuples, one value per draw, all drawn from one `random.Random(seed)`."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield tuple(draw(rng) for draw in draws)
 
 
-def _random_multiplicative(rng: random.Random, n: int, max_val: int) -> Sequence:
-    at_prime_power = {}
-    for p in primes_upto(n):
-        q = p
-        while q <= n:
-            at_prime_power[q] = rng.randint(0, max_val)
-            q *= p
-    terms = []
-    for m in range(1, n + 1):
-        t = 1
-        for p, a in factorize(m):
-            t *= at_prime_power[p**a]
-        terms.append(t)
-    return Sequence(View.ORBIT, tuple(terms))
+def _orbits(length, max_term: int) -> Callable[[random.Random], Sequence]:
+    """A draw of orbit counts in 0..max_term; `length` is a count or a draw of one."""
+
+    def draw(rng: random.Random) -> Sequence:
+        n = length(rng) if callable(length) else length
+        return Sequence(View.ORBIT, tuple(rng.randint(0, max_term) for _ in range(n)))
+
+    return draw
+
+
+def _multiplicative(n: int, max_val: int) -> Callable[[random.Random], Sequence]:
+    """A draw of n multiplicative orbit counts, each prime-power term in 0..max_val."""
+
+    def draw(rng: random.Random) -> Sequence:
+        at_prime_power = {}
+        for p in primes_upto(n):
+            q = p
+            while q <= n:
+                at_prime_power[q] = rng.randint(0, max_val)
+                q *= p
+        terms = (math.prod(at_prime_power[p**a] for p, a in factorize(m)) for m in range(1, n + 1))
+        return Sequence(View.ORBIT, tuple(terms))
+
+    return draw
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +167,7 @@ def _mobius_sum(n: int) -> None:
 
 @identity("sigma-multiplicative", 300, "sigma_k is multiplicative on coprime pairs")
 def _sigma_mult(n: int) -> None:
-    rng = random.Random(101)
-    for _ in range(100):
-        a = rng.randint(1, n)
-        b = rng.randint(1, n)
+    for a, b in _cases(101, 100, *[methodcaller("randint", 1, n)] * 2):
         if math.gcd(a, b) != 1:
             continue
         for k in range(4):
@@ -244,9 +256,7 @@ def _dual_growth(n: int) -> None:
 
 @identity("fix-orbit-roundtrip", 200, "Moebius inversion round-trips both ways")
 def _fix_orbit_roundtrip(n: int) -> None:
-    rng = random.Random(202)
-    for _ in range(200):
-        o = _random_orbit(rng, rng.randint(1, n), 9)
+    for (o,) in _cases(202, 200, _orbits(methodcaller("randint", 1, n), 9)):
         f = transforms.orbit_to_fix(o)
         _expect(o, transforms.fix_to_orbit(f), "fix_to_orbit(orbit_to_fix(o)) != o")
         _expect(f, transforms.orbit_to_fix(transforms.fix_to_orbit(f)),
@@ -255,9 +265,7 @@ def _fix_orbit_roundtrip(n: int) -> None:
 
 @identity("euler-roundtrip", 60, "Euler transform round-trips both ways")
 def _euler_roundtrip(n: int) -> None:
-    rng = random.Random(303)
-    for _ in range(200):
-        o = _random_orbit(rng, rng.randint(1, n), 5)
+    for (o,) in _cases(303, 200, _orbits(methodcaller("randint", 1, n), 5)):
         g = transforms.euler(o)
         _expect(o, transforms.euler_inverse(g), "euler_inverse(euler(o)) != o")
         _expect(g, transforms.euler(transforms.euler_inverse(g)), "euler(euler_inverse(g)) != g")
@@ -291,10 +299,7 @@ def _mult_iff(n: int) -> None:
 
 @identity("product-multiplicative", 60, "products of multiplicative systems stay multiplicative")
 def _product_mult(n: int) -> None:
-    rng = random.Random(404)
-    for _ in range(30):
-        u = _random_multiplicative(rng, n, 3)
-        v = _random_multiplicative(rng, n, 3)
+    for u, v in _cases(404, 30, *[_multiplicative(n, 3)] * 2):
         report = transforms.is_multiplicative(operators.product_orbits(u, v))
         if not report.ok:
             raise Mismatch(None, f"product lost multiplicativity, witness {report.witness}")
@@ -307,9 +312,7 @@ def _product_mult(n: int) -> None:
 
 @identity("product-identity", 60, "the single fixed point is a two-sided product identity")
 def _product_identity(n: int) -> None:
-    rng = random.Random(505)
-    for _ in range(20):
-        o = _random_orbit(rng, n, 4)
+    for (o,) in _cases(505, 20, _orbits(n, 4)):
         d = delta(n)
         _expect(o, operators.product_orbits(o, d), "delta is not the product identity")
         _expect(o, operators.product_orbits(d, o), "delta is not the product identity")
@@ -317,21 +320,14 @@ def _product_identity(n: int) -> None:
 
 @identity("product-commutative", 60, "orbit products commute")
 def _product_comm(n: int) -> None:
-    rng = random.Random(606)
-    for _ in range(25):
-        u = _random_orbit(rng, n, 4)
-        v = _random_orbit(rng, n, 4)
+    for u, v in _cases(606, 25, *[_orbits(n, 4)] * 2):
         _expect(operators.product_orbits(u, v), operators.product_orbits(v, u),
                 "product_orbits(u, v) != product_orbits(v, u)")
 
 
 @identity("product-associative", 40, "orbit products associate")
 def _product_assoc(n: int) -> None:
-    rng = random.Random(707)
-    for _ in range(10):
-        u = _random_orbit(rng, n, 3)
-        v = _random_orbit(rng, n, 3)
-        w = _random_orbit(rng, n, 3)
+    for u, v, w in _cases(707, 10, *[_orbits(n, 3)] * 3):
         lhs = operators.product_orbits(operators.product_orbits(u, v), w)
         rhs = operators.product_orbits(u, operators.product_orbits(v, w))
         _expect(lhs, rhs, "product is not associative")
@@ -339,11 +335,7 @@ def _product_assoc(n: int) -> None:
 
 @identity("product-distributive", 60, "product distributes over disjoint union")
 def _product_distrib(n: int) -> None:
-    rng = random.Random(808)
-    for _ in range(15):
-        u = _random_orbit(rng, n, 4)
-        v = _random_orbit(rng, n, 4)
-        w = _random_orbit(rng, n, 4)
+    for u, v, w in _cases(808, 15, *[_orbits(n, 4)] * 3):
         lhs = operators.product_orbits(u, operators.union_orbits(v, w))
         rhs = operators.union_orbits(
             operators.product_orbits(u, v), operators.product_orbits(u, w)
@@ -353,10 +345,7 @@ def _product_distrib(n: int) -> None:
 
 @identity("product-fix-consistency", 60, "orbit-product route matches pointwise fix product")
 def _product_fix_consistency(n: int) -> None:
-    rng = random.Random(909)
-    for _ in range(40):
-        u = _random_orbit(rng, n, 4)
-        v = _random_orbit(rng, n, 4)
+    for u, v in _cases(909, 40, *[_orbits(n, 4)] * 2):
         _expect(
             oracle.product_by_lcm(u, v),
             operators.product_orbits(u, v),
@@ -366,9 +355,7 @@ def _product_fix_consistency(n: int) -> None:
 
 @identity("iterate-fix-consistency", 72, "direct iterate matches the fix-dilation route")
 def _iterate_fix_consistency(n: int) -> None:
-    rng = random.Random(1010)
-    for _ in range(40):
-        o = _random_orbit(rng, max(n, 6), 4)
+    for (o,) in _cases(1010, 40, _orbits(max(n, 6), 4)):
         for k in range(1, 7):
             direct = operators.iterate_orbits(o, k)
             dilated = transforms.fix_to_orbit(
@@ -379,9 +366,7 @@ def _iterate_fix_consistency(n: int) -> None:
 
 @identity("iterate-composition", 48, "iterating j then k equals iterating jk")
 def _iterate_composition(n: int) -> None:
-    rng = random.Random(1111)
-    for _ in range(25):
-        o = _random_orbit(rng, max(n, 16), 4)
+    for (o,) in _cases(1111, 25, _orbits(max(n, 16), 4)):
         for j, k in ((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (3, 4)):
             lhs = operators.iterate_orbits(operators.iterate_orbits(o, j), k)
             rhs = operators.iterate_orbits(o, j * k)
@@ -582,8 +567,7 @@ def _three_route(n: int) -> None:
         transforms.fix_to_orbit(golden_mean(n)),
         transforms.fix_to_orbit(full_shift(2, n)),
     ]
-    rng = random.Random(1212)
-    cases.extend(_random_orbit(rng, rng.randint(1, n), 4) for _ in range(100))
+    cases.extend(o for (o,) in _cases(1212, 100, _orbits(methodcaller("randint", 1, n), 4)))
     for o in cases:
         _three_route_case(o)
 
@@ -726,9 +710,7 @@ def _pnt_ratio(n: int) -> None:
 
 @identity("oracle-count-fixed", 30, "fixed points counted on cycles match the divisor sum")
 def _oracle_count_fixed(n: int) -> None:
-    rng = random.Random(1313)
-    for _ in range(50):
-        o = _random_orbit(rng, n, 4)
+    for (o,) in _cases(1313, 50, _orbits(n, 4)):
         counted = (oracle.count_fixed(o, m) for m in range(1, n + 1))
         _expect(counted, transforms.orbit_to_fix(o), "count_fixed disagrees with orbit_to_fix")
 
@@ -739,10 +721,7 @@ def _oracle_product(n: int) -> None:
     for u, v in itertools.product(small, repeat=2):
         _expect(oracle.simulate_product(u, v, 3), operators.product_orbits(u, v),
                 f"exhaustive case u={u.terms}, v={v.terms}")
-    rng = random.Random(1414)
-    for _ in range(100):
-        u = _random_orbit(rng, n, 3)
-        v = _random_orbit(rng, n, 3)
+    for u, v in _cases(1414, 100, *[_orbits(n, 3)] * 2):
         simulated = oracle.simulate_product(u, v, n)
         _expect(simulated, operators.product_orbits(u, v), "random product case disagrees")
 
@@ -755,10 +734,7 @@ def _oracle_iterate(n: int) -> None:
         for k in range(1, 7):
             _expect(oracle.simulate_iterate(o, k, 6 // k), operators.iterate_orbits(o, k),
                     f"exhaustive case o={o.terms}, k={k}")
-    rng = random.Random(1515)
-    for _ in range(100):
-        o = _random_orbit(rng, n, 3)
-        k = rng.randint(1, 6)
+    for o, k in _cases(1515, 100, _orbits(n, 3), methodcaller("randint", 1, 6)):
         if n // k < 1:
             continue
         simulated = oracle.simulate_iterate(o, k, n // k)

@@ -30,11 +30,6 @@ from orbitkit.transforms import monoid_counts
 from helpers import exp_series, zeta_series_brute
 
 
-# exp_series is the Fraction referee in tests/helpers.py.  The zeta series
-# of fixed-point data ("zeta_from_fix" in the test names) is
-# transforms.monoid_counts, which convert(f, View.MONOID) runs.
-
-
 def test_exp_of_zero():
     assert exp_series([0]) == [1]
 
@@ -55,18 +50,18 @@ def test_exp_geometric_log():
     assert exp_series(a) == [1, 2, 4, 8, 16]
 
 
-def test_zeta_from_fix_golden_mean():
+def test_monoid_counts_golden_mean():
     got = convert(golden_mean(6), View.MONOID)
     assert got.view is View.MONOID
     assert got.terms == (1, 2, 3, 5, 8, 13)
     assert all(type(c) is int for c in got)
 
 
-def test_zeta_from_fix_dual_rational():
+def test_monoid_counts_dual_rational():
     assert monoid_counts(dual_rational(2, 3, 5).terms) == [1, 3, 9, 27, 81]
 
 
-def test_zeta_from_fix_full_shift():
+def test_monoid_counts_full_shift():
     # 1/(1 - 2s): the monoid count G(n) = 2^n, forced by the Euler
     # recurrence n G(n) = F(n) + sum F(k) G(n-k)
     got = monoid_counts(full_shift(2, 5).terms)
@@ -74,7 +69,7 @@ def test_zeta_from_fix_full_shift():
     assert got == list(euler(fix_to_orbit(full_shift(2, 5))))
 
 
-def test_zeta_from_fix_view_check():
+def test_monoid_counts_view_check():
     # convert reads the view tag: orbit data goes through euler, and is
     # not expanded as if it were fixed-point data
     o = zeta(4)
@@ -82,7 +77,7 @@ def test_zeta_from_fix_view_check():
     assert monoid_counts(o.terms) == [1, 1, 1, 1]
 
 
-def test_zeta_from_fix_rejects_unrealizable():
+def test_monoid_counts_rejects_unrealizable():
     with pytest.raises(NonIntegralError, match="^monoid count at n=2 is not integral$") as err:
         monoid_counts((1, 2))
     assert err.value.index == 2
@@ -91,7 +86,7 @@ def test_zeta_from_fix_rejects_unrealizable():
     assert err.value.index == 2
 
 
-def test_zeta_from_fix_checks_only_monoid_counts():
+def test_monoid_counts_checks_only_monoid_counts():
     # G = (2, 2) are nonnegative integers, yet O(2) = (F(2) - F(1)) / 2 = -1,
     # which convert finds before it expands the series
     f = Sequence(View.FIX, (2, 0))
@@ -155,7 +150,7 @@ fix_data = st.one_of(
 
 @given(fix_data)
 @settings(max_examples=200)
-def test_zeta_from_fix_matches_fraction_referee(fix):
+def test_monoid_counts_matches_fraction_referee(fix):
     expected = zeta_series_brute(fix)
     if isinstance(expected, tuple):
         with pytest.raises(NotRealizableError) as err:
