@@ -85,18 +85,16 @@ def _check_terms(n_terms: Optional[int]) -> None:
 
 
 def _read_sequence(path: Optional[str], view: View, n_terms: Optional[int] = None) -> Sequence:
+    """Read a b-file, check all of it, then keep its first n_terms terms (all when None)."""
     _check_terms(n_terms)
     values = _read_values(path)
-    if n_terms is not None:
-        if len(values) < n_terms:
-            raise ValueError(
-                f"input has {len(values)} terms but {n_terms} were requested"
-            )
-        values = values[:n_terms]
+    if n_terms is not None and len(values) < n_terms:
+        raise ValueError(f"input has {len(values)} terms but {n_terms} were requested")
     try:
-        return Sequence(view, tuple(values))
+        seq = Sequence(view, tuple(values))
     except ValueError as exc:  # a negative term
         raise BFileFormatError(str(exc)) from None
+    return seq if n_terms is None else truncate(seq, n_terms)
 
 
 def _write_bfile(values: Vector[int], start: int = 1) -> None:
@@ -134,34 +132,26 @@ def _cmd_transform(args) -> int:
     return 0
 
 
+_OPERATORS = {"product": (2, product_orbits), "union": (2, union_orbits),
+              "iterate": (1, iterate_orbits)}  # name: (number of --in, operator)
+
+
 def _cmd_op(args) -> int:
-    if args.op == "iterate":
-        if len(args.infile) != 1:
-            raise ValueError("iterate takes exactly one --in")
+    arity, fn = _OPERATORS[args.op]
+    if len(args.infile) != arity:
+        raise ValueError(f"{args.op} takes exactly {('one', 'two')[arity - 1]} --in")
+    n_terms, power = args.terms, ()
+    if arity == 1:
         if args.k is None:
             raise ValueError("iterate requires --k")
-        _check_terms(args.terms)
+        _check_terms(n_terms)
         if args.k < 1:  # before --terms is multiplied by it
             raise ValueError(f"iterate_orbits needs an integer power k >= 1, got {args.k}")
-        available = args.k * args.terms if args.terms is not None else None
-        seq = _read_sequence(args.infile[0], View.ORBIT)
-        if available is not None:
-            if len(seq) < available:
-                raise ValueError(
-                    f"iterate with k={args.k} needs {available} input terms, got {len(seq)}"
-                )
-            seq = truncate(seq, available)
-        result = iterate_orbits(seq, args.k)
-    else:
-        if len(args.infile) != 2:
-            raise ValueError(f"{args.op} takes exactly two --in")
-        if args.k is not None:
-            raise ValueError("--k only applies to iterate")
-        a = _read_sequence(args.infile[0], View.ORBIT, args.terms)
-        b = _read_sequence(args.infile[1], View.ORBIT, args.terms)
-        fn = product_orbits if args.op == "product" else union_orbits
-        result = fn(a, b)
-    _write_bfile(result.terms)
+        n_terms, power = n_terms and args.k * n_terms, (args.k,)  # k input terms per output
+    elif args.k is not None:
+        raise ValueError("--k only applies to iterate")
+    inputs = [_read_sequence(path, View.ORBIT, n_terms) for path in args.infile]
+    _write_bfile(fn(*inputs, *power).terms)
     return 0
 
 
@@ -173,11 +163,9 @@ def _cmd_verify(args) -> int:
         return 0
     if args.name is None:
         raise ValueError("verify needs an identity name, 'all', or --list")
+    if args.name not in REGISTRY and args.name != "all":
+        raise ValueError(f"unknown identity {args.name!r}; known: {', '.join(REGISTRY)}")
     names = list(REGISTRY) if args.name == "all" else [args.name]
-    for name in names:
-        if name not in REGISTRY:
-            known = ", ".join(REGISTRY)
-            raise ValueError(f"unknown identity {name!r}; known: {known}")
     failures = 0
     for name in names:
         result = run(name, args.terms)
@@ -270,7 +258,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("op", help="apply an operator to orbit-count b-files")
-    p.add_argument("op", choices=["product", "union", "iterate"])
+    p.add_argument("op", choices=list(_OPERATORS))
     p.add_argument("--in", dest="infile", action="append", default=[], metavar="FILE")
     p.add_argument("--k", type=int, default=None, help="iteration power (iterate only)")
     p.add_argument("--terms", type=int, default=None,

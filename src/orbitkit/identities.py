@@ -6,12 +6,13 @@ their cases from `_cases`, one `random.Random` per fixed seed, so
 identical invocations give identical results.  A check returns None
 when its identity holds and otherwise raises `Mismatch` with the first
 failing index, when there is one.  Every elementwise comparison goes
-through `_expect`, which finds that index; checks that are not
-elementwise equality (multiplicativity witnesses, envelopes, orderings,
-counts) raise `Mismatch` themselves.  `run` alone turns either outcome
-into a `VerifyResult`.  It reports a kernel's `NotRealizableError` as a
-failure at its index, and re-raises any other exception as a
-RuntimeError that names the identity.
+through `_expect`, which finds that index; a Dirichlet series identity
+multiplies out its two sides' factors in `_same_series`, which compares
+them there.  Checks that are not elementwise equality (multiplicativity
+witnesses, envelopes, orderings, counts) raise `Mismatch` themselves.
+`run` alone turns either outcome into a `VerifyResult`.  It reports a
+kernel's `NotRealizableError` as a failure at its index, and re-raises
+any other exception as a RuntimeError that names the identity.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from functools import reduce
 from operator import methodcaller
 from typing import Callable, NamedTuple, Optional
 
@@ -119,6 +121,13 @@ def _expect(expected, actual, detail: str) -> None:
         return
     first = next((i for i, (x, y) in enumerate(zip(xs, ys)) if x != y), min(len(xs), len(ys)))
     raise Mismatch(first + 1, detail)
+
+
+def _same_series(lhs: list, rhs: list, detail: str) -> dirichlet.DirichletPoly:
+    """`_expect` equal products of the lhs and rhs Dirichlet factors; return the rhs product."""
+    left, right = (reduce(dirichlet.mul, factors) for factors in (lhs, rhs))
+    _expect(left, right, detail)
+    return right
 
 
 def _cases(seed: int, count: int, *draws: Callable[[random.Random], object]):
@@ -426,9 +435,8 @@ def _ttimest(n: int) -> None:
     )
     _expect(direct, prod, "squarefree-weighted sigma sum disagrees")
     z, series = dirichlet.zeta_poly(n), dirichlet.DirichletPoly(prod.terms)
-    rhs = dirichlet.mul(dirichlet.mul(z, z), dirichlet.zeta_shift(1, n))
-    lhs = dirichlet.mul(series, dirichlet.dilate(z, 2))
-    _expect(lhs, rhs, "cleared-denominator identity fails")
+    rhs = _same_series([series, dirichlet.dilate(z, 2)], [z, z, dirichlet.zeta_shift(1, n)],
+                       "cleared-denominator identity fails")
     quotient = dirichlet.div(rhs, dirichlet.dilate(z, 2))
     _expect(quotient, series, "division route disagrees with the product")
 
@@ -447,11 +455,8 @@ def _iterate_id2(n: int) -> None:
     t = operators.iterate_orbits(id_orbits(2 * n), 2)
     prefix = (5, 8, 15, 16, 25, 24, 35, 32)
     _expect(prefix[:n], t.terms[: len(prefix)], "second-iterate prefix wrong")
-    lhs = dirichlet.DirichletPoly(t.terms)
-    rhs = dirichlet.mul(
-        _sparse([(1, 5), (2, -2)], n), dirichlet.zeta_shift(1, n)
-    )
-    _expect(lhs, rhs, "sparse form fails")
+    _same_series([dirichlet.DirichletPoly(t.terms)],
+                 [_sparse([(1, 5), (2, -2)], n), dirichlet.zeta_shift(1, n)], "sparse form fails")
 
 
 @identity("iterate-idp-series", 60, "prime iterates of the identity map in sparse form")
@@ -460,22 +465,16 @@ def _iterate_idp(n: int) -> None:
         t = operators.iterate_orbits(id_orbits(p * n), p)
         expected = (p * p * m if m % p == 0 else (p * p + 1) * m for m in range(1, n + 1))
         _expect(expected, t, f"pointwise form fails for p={p}")
-        lhs = dirichlet.DirichletPoly(t.terms)
-        rhs = dirichlet.mul(
-            _sparse([(1, p * p + 1), (p, -p)], n),
-            dirichlet.zeta_shift(1, n),
-        )
-        _expect(lhs, rhs, f"sparse form fails for p={p}")
+        rhs = [_sparse([(1, p * p + 1), (p, -p)], n), dirichlet.zeta_shift(1, n)]
+        _same_series([dirichlet.DirichletPoly(t.terms)], rhs, f"sparse form fails for p={p}")
 
 
 def _local_factors(s: Sequence, primes, sign: int, detail: str) -> None:
     """Check series(s) * prod_p (1 - p/p^s) == zeta(s) * prod_p (1 + sign/p^s) over `primes`."""
     n = len(s)
-    lhs, rhs = dirichlet.DirichletPoly(s.terms), dirichlet.zeta_poly(n)
-    for p in primes:
-        lhs = dirichlet.mul(lhs, _sparse([(1, 1), (p, -p)], n))
-        rhs = dirichlet.mul(rhs, _sparse([(1, 1), (p, sign)], n))
-    _expect(lhs, rhs, detail)
+    lhs = [dirichlet.DirichletPoly(s.terms), *(_sparse([(1, 1), (p, -p)], n) for p in primes)]
+    rhs = [dirichlet.zeta_poly(n), *(_sparse([(1, 1), (p, sign)], n) for p in primes)]
+    _same_series(lhs, rhs, detail)
 
 
 @identity("s-part-interpolation", 100, "S-part series equals zeta times local factors")
@@ -520,22 +519,17 @@ def _ramanujan(n: int) -> None:
         )
         cleared = (m * t for m, t in enumerate(prod, start=1))
         _expect(totals, cleared, f"pointwise form fails for (a,b)=({a},{b})")
-        lhs = dirichlet.mul(
-            dirichlet.DirichletPoly(prod.terms),
-            dirichlet.dilate(dirichlet.zeta_shift(a + b, n), 2),
-        )
-        rhs = dirichlet.mul(
-            dirichlet.mul(dirichlet.zeta_shift(a, n), dirichlet.zeta_shift(b, n)),
-            dirichlet.zeta_shift(a + b + 1, n),
-        )
-        _expect(lhs, rhs, f"series identity fails for (a,b)=({a},{b})")
+        lhs = [dirichlet.DirichletPoly(prod.terms),
+               dirichlet.dilate(dirichlet.zeta_shift(a + b, n), 2)]
+        rhs = [dirichlet.zeta_shift(c, n) for c in (a, b, a + b + 1)]
+        _same_series(lhs, rhs, f"series identity fails for (a,b)=({a},{b})")
 
 
 @identity("mobius-series", 50, "zeta times the mu series is the identity")
 def _mobius_series(n: int) -> None:
     mu = dirichlet.DirichletPoly(mobius(m) for m in range(1, n + 1))
-    lhs = dirichlet.mul(dirichlet.zeta_poly(n), mu)
-    _expect(lhs, dirichlet.sparse([(1, 1)], n), "zeta * mu != delta")
+    _same_series([dirichlet.zeta_poly(n), mu], [dirichlet.sparse([(1, 1)], n)],
+                 "zeta * mu != delta")
 
 
 # ---------------------------------------------------------------------------
@@ -545,14 +539,6 @@ def _mobius_series(n: int) -> None:
 
 # The partitions route is exponential in n: it checks this many terms.
 PARTITION_TERMS = 12
-
-
-def _three_route_case(o: Sequence) -> None:
-    g = transforms.euler(o)
-    detail = "zeta function routes disagree"
-    _expect(g, zetaseries.product_formula(o), detail)
-    m = min(len(g), PARTITION_TERMS)
-    _expect(g.terms[:m], oracle.monoid_by_partitions(o, m), detail)
 
 
 @identity("three-route-monoid", 40, "Euler recurrence, product and exp expansions agree")
@@ -569,7 +555,10 @@ def _three_route(n: int) -> None:
     ]
     cases.extend(o for (o,) in _cases(1212, 100, _orbits(methodcaller("randint", 1, n), 4)))
     for o in cases:
-        _three_route_case(o)
+        g = transforms.euler(o)
+        m = min(len(g), PARTITION_TERMS)
+        _expect(g, zetaseries.product_formula(o), "zeta function routes disagree")
+        _expect(g.terms[:m], oracle.monoid_by_partitions(o, m), "zeta function routes disagree")
 
 
 @identity("euler-partitions", 40, "Euler transform of all-ones counts partitions")

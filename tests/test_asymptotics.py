@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 
@@ -37,6 +38,19 @@ def test_mertens_small_cases():
 def test_harmonic_number():
     assert harmonic_number(1) == 1.0
     assert harmonic_number(4) == pytest.approx(1 + 0.5 + 1 / 3 + 0.25)
+    with pytest.raises(ValueError, match="^n must be positive, got 0$"):
+        harmonic_number(0)
+
+
+@pytest.mark.parametrize("n_max, h, message", [
+    (0, LN2, "n_max 0 outside 1..3"),
+    (4, LN2, "n_max 4 outside 1..3"),
+    (3, 0.0, "h must be positive, got 0.0"),
+    (3, -1.0, "h must be positive, got -1.0"),
+])
+def test_mertens_sum_rejects_bad_arguments(n_max, h, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        mertens_sum(zeta(3), n_max, h)
 
 
 def test_pnt_report_shift2():

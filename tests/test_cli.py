@@ -107,6 +107,7 @@ def test_seq_prime_set_names_a_non_prime(capsys, value):
     (("dual_rational", "--param", "a=1", "--param", "b=2", "--param", "a=3"),
      "parameter a given more than once"),
     (("s_P", "--param", "P=2", "--param", "P=3"), "parameter P given more than once"),
+    (("s_P", "--param", "P"), "--param expects key=value, got 'P'"),
 ])
 def test_seq_params_are_plain_integers_given_once(capsys, argv, message):
     code, out, err = run_cli(capsys, "seq", *argv, "--terms", "2")
@@ -195,6 +196,37 @@ def test_op_terms_longer_than_input(capsys, tmp_path):
     )
     assert code == 2
     assert "requested" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("factor",), ("op", "product"), ("op", "union"), ("op", "iterate", "--k", "1")]
+)
+def test_whole_input_is_checked_before_terms_are_taken(capsys, tmp_path, argv):
+    # the negative term lies past the two terms asked for
+    f = tmp_path / "neg3.b"
+    f.write_text("1 1\n2 1\n3 -5\n", encoding="ascii")
+    inputs = ["--in", str(f)] * (2 if argv[-1] in ("product", "union") else 1)
+    code, out, err = run_cli(capsys, *argv, *inputs, "--terms", "2")
+    assert (code, out, err) == (3, "", "input error: term 3 is negative: -5\n")
+
+
+def test_op_iterate_short_input_names_the_terms_requested(capsys, tmp_path):
+    f = tmp_path / "six.b"
+    f.write_text("".join(f"{n} {n}\n" for n in range(1, 7)), encoding="ascii")
+    code, out, err = run_cli(capsys, "op", "iterate", "--in", str(f), "--k", "2", "--terms", "4")
+    assert (code, out) == (2, "")
+    assert err == "usage error: input has 6 terms but 8 were requested\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("iterate", "--k", "2"), "iterate takes exactly one --in"),
+    (("product", "--k", "2"), "--k only applies to iterate"),
+])
+def test_op_names_a_misused_flag(capsys, tmp_path, argv, message):
+    f = tmp_path / "s3.b"
+    f.write_text("1 1\n2 1\n3 1\n", encoding="ascii")
+    code, out, err = run_cli(capsys, "op", *argv, "--in", str(f), "--in", str(f))
+    assert (code, out, err) == (2, "", f"usage error: {message}\n")
 
 
 def test_verify_pass(capsys):

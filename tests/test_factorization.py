@@ -53,6 +53,11 @@ def test_rejects_zero_leading_term():
         factor_search(Sequence(View.ORBIT, (0, 1)))
 
 
+def test_rejects_limit_below_one():
+    with pytest.raises(ValueError, match="^limit must be >= 1, got 0$"):
+        factor_search(zeta(3), limit=0)
+
+
 def test_truncation_flag():
     result = factor_search(zeta(30), limit=10)
     assert result.truncated

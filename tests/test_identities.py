@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from orbitkit import factor_search, identities, operators, transforms, zetaseries
+from orbitkit import dirichlet, factor_search, identities, operators, transforms, zetaseries
 from orbitkit.cli import main
 from orbitkit.identities import (
     REGISTRY,
@@ -174,6 +174,36 @@ def test_wrong_product_term_is_reported_at_its_index(monkeypatch):
     }
     for name, detail in expected.items():
         assert run(name) == VerifyResult(name, False, 2, detail)
+
+
+# the identities a zeta(s - a) one too big at coefficient 4 breaks at default terms
+_ZETA_SHIFT_AT_4_FAILURES = {
+    "ttimest-series": "cleared-denominator identity fails",
+    "fix-series": "fix series identity fails",
+    "iterate-id2-series": "sparse form fails",
+    "iterate-idp-series": "sparse form fails for p=2",
+    "s-part-interpolation": "interpolation fails for S=(2,)",
+    "rational-a-series": "a_S identity fails for S=(2,)",
+    "sp-zeta-product-series": "closed form fails for P=(2,)",
+    "ramanujan-series": "series identity fails for (a,b)=(0,1)",
+    "mobius-series": "zeta * mu != delta",
+}
+
+
+def test_wrong_zeta_shift_coefficient_fails_every_series_identity_at_its_index(monkeypatch):
+    real = dirichlet.zeta_shift
+
+    def wrong(a, n_terms):
+        coeffs = list(real(a, n_terms))
+        if len(coeffs) >= 4:
+            coeffs[3] += 1
+        return dirichlet.DirichletPoly(coeffs)
+
+    monkeypatch.setattr(dirichlet, "zeta_shift", wrong)
+    results = [run(name) for name in REGISTRY]
+    failures = {r.name: (r.failing_index, r.detail) for r in results if not r.ok}
+    assert failures == {name: (4, detail) for name, detail in _ZETA_SHIFT_AT_4_FAILURES.items()}
+    assert len(results) - len(failures) == 42
 
 
 def test_zeta_factorization_limits_the_search_to_one_extra_pair(monkeypatch):

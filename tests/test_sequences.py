@@ -56,6 +56,14 @@ class TestSequenceType:
         with pytest.raises(TypeError):
             Sequence(View.ORBIT, (True, 1))
 
+    def test_rejects_a_view_that_is_not_a_member(self):
+        with pytest.raises(TypeError, match="^view must be a View member, got 'orbit'$"):
+            Sequence("orbit", (1,))
+
+    def test_index_must_be_an_int(self):
+        with pytest.raises(TypeError, match="^index must be an int, got 1.0$"):
+            zeta(3)[1.0]
+
     def test_view_guard(self):
         s = Sequence(View.ORBIT, (1, 2))
         s.require_view(View.ORBIT, "op")

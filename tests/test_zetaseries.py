@@ -86,6 +86,12 @@ def test_monoid_counts_rejects_unrealizable():
     assert err.value.index == 2
 
 
+def test_monoid_counts_rejects_a_negative_count():
+    with pytest.raises(NegativeError, match="^monoid count at n=1 is negative$") as err:
+        monoid_counts([-1])
+    assert err.value.index == 1
+
+
 def test_monoid_counts_checks_only_monoid_counts():
     # G = (2, 2) are nonnegative integers, yet O(2) = (F(2) - F(1)) / 2 = -1,
     # which convert finds before it expands the series
