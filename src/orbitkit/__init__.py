@@ -55,7 +55,6 @@ from .sequences import (
     truncate,
 )
 from .transforms import (
-    Multiplicativity,
     NegativeError,
     NonIntegralError,
     NotRealizableError,

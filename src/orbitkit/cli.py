@@ -82,11 +82,12 @@ def _read_values(path: Optional[str]) -> list[int]:
 def _check_terms(n_terms: Optional[int]) -> None:
     if n_terms is not None and n_terms < 1:
         raise ValueError(f"--terms must be at least 1, got {n_terms}")
+    if n_terms is not None and n_terms > sys.maxsize:  # past any list's length
+        raise ValueError(f"--terms must be at most {sys.maxsize}, got {n_terms}")
 
 
 def _read_sequence(path: Optional[str], view: View, n_terms: Optional[int] = None) -> Sequence:
     """Read a b-file, check all of it, then keep its first n_terms terms (all when None)."""
-    _check_terms(n_terms)
     values = _read_values(path)
     if n_terms is not None and len(values) < n_terms:
         raise ValueError(f"input has {len(values)} terms but {n_terms} were requested")
@@ -150,6 +151,8 @@ def _cmd_op(args) -> int:
         n_terms, power = n_terms and args.k * n_terms, (args.k,)  # k input terms per output
     elif args.k is not None:
         raise ValueError("--k only applies to iterate")
+    else:
+        _check_terms(n_terms)
     inputs = [_read_sequence(path, View.ORBIT, n_terms) for path in args.infile]
     _write_bfile(fn(*inputs, *power).terms)
     return 0
@@ -193,6 +196,7 @@ def _cmd_growth(args) -> int:
 def _cmd_factor(args) -> int:
     if args.limit < 1:  # before the input is read, as --terms is
         raise ValueError(f"--limit must be at least 1, got {args.limit}")
+    _check_terms(args.terms)
     target = _read_sequence(args.infile, View.ORBIT, args.terms)
     if args.json:
         import json  # only this output needs it; the other commands start without it

@@ -231,9 +231,9 @@ def _sp_mult(n: int) -> None:
         PrimeSet.all_except((2, 3)),
     )
     for s in sets:
-        report = transforms.is_multiplicative(s_p(s, n))
-        if not report.ok:
-            raise Mismatch(None, f"s_P not multiplicative for {s}: witness {report.witness}")
+        witness = transforms.is_multiplicative(s_p(s, n))
+        if witness is not None:
+            raise Mismatch(None, f"s_P not multiplicative for {s}: witness {witness}")
 
 
 @identity("feigenbaum-sums", 1_024, "partial sums over dyadic blocks count the doublings")
@@ -301,17 +301,17 @@ def _mult_iff(n: int) -> None:
         (s_integer_23(n), to_orbit),
     )
     for seq, (label, convert) in cases:
-        want = transforms.is_multiplicative(seq).ok
-        if transforms.is_multiplicative(convert(seq)).ok != want:
+        want = transforms.is_multiplicative(seq) is None
+        if (transforms.is_multiplicative(convert(seq)) is None) != want:
             raise Mismatch(None, f"orbit/fix multiplicativity disagree on {label}")
 
 
 @identity("product-multiplicative", 60, "products of multiplicative systems stay multiplicative")
 def _product_mult(n: int) -> None:
     for u, v in _cases(404, 30, *[_multiplicative(n, 3)] * 2):
-        report = transforms.is_multiplicative(operators.product_orbits(u, v))
-        if not report.ok:
-            raise Mismatch(None, f"product lost multiplicativity, witness {report.witness}")
+        witness = transforms.is_multiplicative(operators.product_orbits(u, v))
+        if witness is not None:
+            raise Mismatch(None, f"product lost multiplicativity, witness {witness}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from operator import add, mul
 
-from .numtheory import divisors, factorize
+from .numtheory import factorize
 from .sequences import Sequence, View
 from .transforms import fix_to_orbit, orbit_to_fix
 
@@ -67,12 +67,9 @@ def iterate_orbits(o: Sequence, k: int) -> Sequence:
     k_pairs = factorize(k)
     terms = []
     for n in range(1, n_out + 1):
-        q = 1
+        divs = [1]  # the divisors of q, from k's own factorization
         for p, a in k_pairs:
             if n % p:
-                q *= p**a
-        total = 0
-        for d in divisors(q):
-            total += (k // d) * o[k * n // d]
-        terms.append(total)
+                divs += [d * p**j for j in range(1, a + 1) for d in divs]
+        terms.append(sum((k // d) * o[k * n // d] for d in divs))
     return Sequence(View.ORBIT, tuple(terms))

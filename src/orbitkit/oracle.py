@@ -2,10 +2,11 @@
 
 Everything here is deliberately naive.  An orbit Sequence o is read
 directly as its realization, o(n) cycles of length n for n up to
-len(o); products and iterates are then computed by tracing points one
-step at a time; the paper's gcd/lcm product sum referees the
-fixed-point route of the operators module.  Slow and dumb on purpose:
-these are the referees for the clever routes.
+len(o).  Products and iterates are then one simulation, _trace: a
+translation of the torus Z/d1 x Z/d2, followed point by point.  The
+paper's gcd/lcm product sum referees the fixed-point route of the
+operators module.  Slow and dumb on purpose: these are the referees for
+the clever routes.
 """
 
 from __future__ import annotations
@@ -45,14 +46,30 @@ def product_by_lcm(u: Sequence, v: Sequence) -> Sequence:
     return Sequence(View.ORBIT, tuple(terms))
 
 
+def _trace(d1: int, d2: int, s1: int, s2: int, weight: int, counts: list[int]) -> None:
+    """Walk (x, y) -> (x + s1 mod d1, y + s2 mod d2) around the d1 x d2 grid
+    point by point, and add weight at each cycle length below len(counts)."""
+    visited = bytearray(d1 * d2)
+    for start in range(d1 * d2):
+        if visited[start]:
+            continue
+        i, j = x, y = divmod(start, d2)
+        length = 0
+        while True:
+            visited[x * d2 + y] = 1
+            x, y, length = (x + s1) % d1, (y + s2) % d2, length + 1
+            if x == i and y == j:
+                break
+        if length < len(counts):
+            counts[length] += weight
+
+
 def simulate_product(u: Sequence, v: Sequence, n_terms: int) -> Sequence:
     """Orbit counts of the product system, found by tracing points.
 
-    Works one pair of cycles at a time: lay out the d1 x d2 grid of
-    point pairs, advance both coordinates one step per tick, and mark
-    starting points as visited until the grid is exhausted.  Cycle
-    pairs with equal lengths trace identically, so each (d1, d2) grid
-    is walked once and weighted by count1 * count2.
+    A d1-cycle times a d2-cycle is the step (1, 1) on the d1 x d2 grid.
+    Cycle pairs with equal lengths trace identically, so each grid is
+    walked once and weighted by count1 * count2.
     """
     u.require_view(View.ORBIT, "oracle.simulate_product")
     v.require_view(View.ORBIT, "oracle.simulate_product")
@@ -62,34 +79,14 @@ def simulate_product(u: Sequence, v: Sequence, n_terms: int) -> Sequence:
     counts = [0] * (n_terms + 1)
     for d1, c1 in enumerate(u.terms, start=1):
         for d2, c2 in enumerate(v.terms, start=1):
-            weight = c1 * c2
-            if not weight:  # no cycle of length d1 or none of length d2
-                continue
-            visited = bytearray(d1 * d2)
-            for i in range(d1):
-                for j in range(d2):
-                    if visited[i * d2 + j]:
-                        continue
-                    x, y, length = i, j, 0
-                    while True:
-                        visited[x * d2 + y] = 1
-                        x += 1
-                        if x == d1:
-                            x = 0
-                        y += 1
-                        if y == d2:
-                            y = 0
-                        length += 1
-                        if x == i and y == j:
-                            break
-                    if length <= n_terms:
-                        counts[length] += weight
+            if c1 and c2:  # a cycle of length d1 and one of length d2
+                _trace(d1, d2, 1, 1, c1 * c2, counts)
     return Sequence(View.ORBIT, tuple(counts[1:]))
 
 
 def simulate_iterate(o: Sequence, k: int, n_terms: int) -> Sequence:
-    """Orbit counts of the k-th iterate, found by walking k steps at a
-    time around each cycle."""
+    """Orbit counts of the k-th iterate, found by tracing points: the k-th
+    iterate of a d-cycle is the step (k, 0) on the d x 1 grid."""
     o.require_view(View.ORBIT, "oracle.simulate_iterate")
     _require_positive(k, "k")
     _require_positive(n_terms, "n_terms")
@@ -97,21 +94,8 @@ def simulate_iterate(o: Sequence, k: int, n_terms: int) -> Sequence:
         raise ValueError(f"need realization to length {k * n_terms}, have {len(o)}")
     counts = [0] * (n_terms + 1)
     for d, c in enumerate(o.terms, start=1):
-        if not c:
-            continue
-        visited = bytearray(d)
-        for start in range(d):
-            if visited[start]:
-                continue
-            pos, length = start, 0
-            while True:
-                visited[pos] = 1
-                pos = (pos + k) % d
-                length += 1
-                if pos == start:
-                    break
-            if length <= n_terms:
-                counts[length] += c
+        if c:
+            _trace(d, 1, k, 0, c, counts)
     return Sequence(View.ORBIT, tuple(counts[1:]))
 
 

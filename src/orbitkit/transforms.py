@@ -6,14 +6,15 @@ inversion: dirichlet.over_zeta.  orbit <-> monoid is the Euler
 transform, by monoid_counts; convert(f, View.MONOID) is the dynamical
 zeta power series of realizable fixed-point data f.  All arithmetic is
 exact; failures of integrality or positivity are how non-realizable
-inputs announce themselves.
+inputs announce themselves, and _exact_count is the one place where an
+orbit or monoid count is checked.
 """
 
 from __future__ import annotations
 
 from math import gcd
 from operator import mul
-from typing import NamedTuple, Optional, Sequence as Vector
+from typing import Optional, Sequence as Vector
 
 from . import dirichlet
 from .sequences import Sequence, View
@@ -46,17 +47,20 @@ def orbit_to_fix(o: Sequence) -> Sequence:
     return Sequence(View.FIX, tuple(dirichlet.times_zeta(n_o)))
 
 
+def _exact_count(total: int, n: int, what: str) -> int:
+    """total / n, the {what} count at index n, which must be a nonnegative integer."""
+    q, r = divmod(total, n)
+    if r:
+        raise NonIntegralError(n, f"{what} count at n={n} is not integral")
+    if q < 0:
+        raise NegativeError(n, f"{what} count at n={n} is negative")
+    return q
+
+
 def _invert_fix_terms(terms: Vector[int]) -> list[int]:
     """O(n) = (1/n) sum_{d|n} mu(n/d) F(d), exactly: F divided by zeta."""
-    out: list[int] = []
-    for n, total in enumerate(dirichlet.over_zeta(terms), start=1):
-        q, r = divmod(total, n)
-        if r:
-            raise NonIntegralError(n, f"orbit count at n={n} is not integral")
-        if q < 0:
-            raise NegativeError(n, f"orbit count at n={n} is negative")
-        out.append(q)
-    return out
+    totals = enumerate(dirichlet.over_zeta(terms), start=1)
+    return [_exact_count(total, n, "orbit") for n, total in totals]
 
 
 def fix_to_orbit(f: Sequence) -> Sequence:
@@ -74,12 +78,7 @@ def monoid_counts(fix: Vector[int]) -> list[int]:
     """
     g: list[int] = []
     for n in range(1, len(fix) + 1):
-        q, r = divmod(fix[n - 1] + sum(map(mul, fix, reversed(g))), n)
-        if r:
-            raise NonIntegralError(n, f"monoid count at n={n} is not integral")
-        if q < 0:
-            raise NegativeError(n, f"monoid count at n={n} is negative")
-        g.append(q)
+        g.append(_exact_count(fix[n - 1] + sum(map(mul, fix, reversed(g))), n, "monoid"))
     return g
 
 
@@ -107,27 +106,22 @@ def euler_inverse(g: Sequence) -> Sequence:
     return Sequence(View.ORBIT, tuple(_invert_fix_terms(fix)))
 
 
-class Multiplicativity(NamedTuple):
-    ok: bool
-    witness: Optional[tuple[int, int]]
-
-
-def is_multiplicative(s: Sequence) -> Multiplicativity:
+def is_multiplicative(s: Sequence) -> Optional[tuple[int, int]]:
     """Check s(mn) = s(m) s(n) for coprime m, n, with mn within range.
 
-    On failure the witness is the lexicographically smallest bad pair;
-    s(1) != 1 is reported as witness (1, 1).
+    Returns None when s is multiplicative, else the witness: the
+    lexicographically smallest bad pair, or (1, 1) when s(1) != 1.
     """
     if s[1] != 1:
-        return Multiplicativity(False, (1, 1))
+        return (1, 1)
     n_max = len(s)
     for m in range(2, n_max + 1):
         if m * (m + 1) > n_max:
             break
         for n in range(m + 1, n_max // m + 1):
             if gcd(m, n) == 1 and s[m * n] != s[m] * s[n]:
-                return Multiplicativity(False, (m, n))
-    return Multiplicativity(True, None)
+                return (m, n)
+    return None
 
 
 def convert(s: Sequence, view: View) -> Sequence:

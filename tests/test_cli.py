@@ -216,6 +216,11 @@ def test_op_iterate_short_input_names_the_terms_requested(capsys, tmp_path):
     code, out, err = run_cli(capsys, "op", "iterate", "--in", str(f), "--k", "2", "--terms", "4")
     assert (code, out) == (2, "")
     assert err == "usage error: input has 6 terms but 8 were requested\n"
+    # --terms fits an index, k times it does not: still the terms requested
+    code, out, err = run_cli(capsys, "op", "iterate", "--in", str(f), "--k", "2",
+                             "--terms", str(sys.maxsize))
+    assert (code, out) == (2, "")
+    assert err == f"usage error: input has 6 terms but {2 * sys.maxsize} were requested\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -261,6 +266,18 @@ def test_builtin_commands_name_terms_below_one(capsys, argv):
 def test_verify_checks_terms_first(capsys, argv):
     code, out, err = run_cli(capsys, "verify", *argv, "--terms", "0")
     assert (code, out, err) == (2, "", "usage error: --terms must be at least 1, got 0\n")
+
+
+@pytest.mark.parametrize("terms", [sys.maxsize + 1, 99999999999999999999])
+@pytest.mark.parametrize("argv", [
+    ("seq", "zeta"),
+    ("growth", "--name", "zeta", "--h", "1", "--c1", "1"),
+    ("verify", "zeta-ones"),
+])
+def test_terms_past_an_index_is_usage_error(capsys, argv, terms):
+    code, out, err = run_cli(capsys, *argv, "--terms", str(terms))
+    message = f"usage error: --terms must be at most {sys.maxsize}, got {terms}\n"
+    assert (code, out, err) == (2, "", message)
 
 
 def test_verify_requires_name(capsys):

@@ -17,9 +17,11 @@ from orbitkit import (
     simulate_iterate,
     simulate_product,
 )
+from orbitkit import oracle
+from orbitkit.cli import main
 from orbitkit.oracle import monoid_by_partitions, product_by_lcm
 from orbitkit.sequences import delta, zeta
-from helpers import product_brute, random_orbit
+from helpers import iterate_brute, product_brute, random_orbit
 
 from math import gcd
 
@@ -112,6 +114,47 @@ def test_simulate_iterate_random():
         o = random_orbit(rng, 12, 3)
         k = rng.randint(1, 6)
         assert simulate_iterate(o, k, 12 // k) == iterate_orbits(o, k)
+
+
+orbit_terms = st.lists(st.integers(min_value=0, max_value=4), min_size=1, max_size=14)
+
+
+@given(orbit_terms, orbit_terms, st.data())
+@settings(max_examples=60)
+def test_simulate_product_matches_brute_below_the_horizon(u_terms, v_terms, data):
+    u = Sequence(View.ORBIT, tuple(u_terms))
+    v = Sequence(View.ORBIT, tuple(v_terms))
+    m = data.draw(st.integers(min_value=1, max_value=min(len(u), len(v))))
+    assert list(simulate_product(u, v, m)) == product_brute(u, v)[:m]
+
+
+@given(st.integers(min_value=1, max_value=6), st.data())
+@settings(max_examples=60)
+def test_simulate_iterate_matches_brute_below_the_horizon(k, data):
+    terms = data.draw(st.lists(st.integers(min_value=0, max_value=4), min_size=k, max_size=36))
+    o = Sequence(View.ORBIT, tuple(terms))
+    m = data.draw(st.integers(min_value=1, max_value=len(o) // k))
+    assert list(simulate_iterate(o, k, m)) == iterate_brute(o, k)[:m]
+
+
+def test_a_tracer_one_step_long_fails_exactly_the_oracle_simulations(monkeypatch, capsys):
+    real = oracle._trace
+
+    def long_by_one(d1, d2, s1, s2, weight, counts):
+        shorter = [0] * (len(counts) - 1)
+        real(d1, d2, s1, s2, weight, shorter)
+        for length, count in enumerate(shorter):
+            counts[length + 1] += count
+
+    monkeypatch.setattr(oracle, "_trace", long_by_one)
+    code = main(["verify", "all"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    assert [line for line in lines if not line.endswith(": PASS")] == [
+        "oracle-product: FAIL at index 3 (exhaustive case u=(0, 0, 1), v=(0, 0, 1))",
+        "oracle-iterate: FAIL at index 1 (exhaustive case o=(1, 0, 0, 0, 0, 0), k=1)",
+    ]
+    assert len(lines) == 51
 
 
 def test_simulate_iterate_horizon_guard():
