@@ -4,7 +4,7 @@ This is the only module that touches floating point; everything
 upstream stays exact.  pi(N) counts closed orbits of length at most N;
 M(N) weights them by e^{-h n}.  When F(n) = C1 e^{hn} + small, the
 prediction C1 e^{h(N+1)} / (N (e^h - 1)) tracks pi(N) to relative
-order 1/N.
+order 1/N.  _require_rate is the one check of a growth rate (h, c1).
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
+from .numtheory import _require_int
 from .sequences import Sequence, View
 
 
@@ -25,11 +26,16 @@ class GrowthReport(NamedTuple):
     mertens_minus_c1_harmonic: float
 
 
+def _require_rate(value: float, name: str) -> None:
+    """The one growth-rate check: 0 < value < inf (so not nan)."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
 def pi_count(o: Sequence, n_max: int) -> int:
     """Number of closed orbits of length at most n_max (exact)."""
     o.require_view(View.ORBIT, "pi_count")
-    if not 1 <= n_max <= len(o):
-        raise ValueError(f"n_max {n_max} outside 1..{len(o)}")
+    _require_int(n_max, "n_max", most=len(o))
     return sum(o[n] for n in range(1, n_max + 1))
 
 
@@ -47,10 +53,8 @@ def _weighted_term(count: int, h: float, n: int) -> float:
 def mertens_sum(o: Sequence, n_max: int, h: float) -> float:
     """sum_{n<=n_max} O(n) e^{-hn}, summed left to right."""
     o.require_view(View.ORBIT, "mertens_sum")
-    if not 1 <= n_max <= len(o):
-        raise ValueError(f"n_max {n_max} outside 1..{len(o)}")
-    if not h > 0:
-        raise ValueError(f"h must be positive, got {h}")
+    _require_int(n_max, "n_max", most=len(o))
+    _require_rate(h, "h")
     total = 0.0
     for n in range(1, n_max + 1):
         total += _weighted_term(o[n], h, n)
@@ -58,8 +62,7 @@ def mertens_sum(o: Sequence, n_max: int, h: float) -> float:
 
 
 def harmonic_number(n: int) -> float:
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
+    _require_int(n, "n")
     total = 0.0
     for k in range(1, n + 1):
         total += 1.0 / k
@@ -68,12 +71,8 @@ def harmonic_number(n: int) -> float:
 
 def pnt_report(o: Sequence, h: float, c1: float, n_max: int) -> GrowthReport:
     """Actual versus predicted growth for a system with F ~ c1 e^{hn}."""
-    if not h > 0:
-        raise ValueError(f"h must be positive, got {h}")
-    if not c1 > 0:
-        raise ValueError(f"c1 must be positive, got {c1}")
-    if math.isinf(h) or math.isinf(c1):
-        raise ValueError(f"h and c1 must be finite, got h={h}, c1={c1}")
+    _require_rate(h, "h")
+    _require_rate(c1, "c1")
     pi_actual = pi_count(o, n_max)
     try:
         pi_predicted = c1 * math.exp(h * (n_max + 1)) / (n_max * (math.exp(h) - 1.0))

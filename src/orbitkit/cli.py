@@ -20,11 +20,11 @@ import sys
 from itertools import chain, islice, product
 from typing import Optional, Sequence as Vector
 
-from .asymptotics import pnt_report
+from .asymptotics import _require_rate, pnt_report
 from .bfile import _FIELD, BFileFormatError, format_bfile, parse_bfile
 from .factorization import factor_blocks, factor_search
 from .identities import REGISTRY, run
-from .numtheory import PrimeSet
+from .numtheory import PrimeSet, _require_int
 from .operators import iterate_orbits, product_orbits, union_orbits
 from .sequences import Sequence, View, builtin, builtin_names, truncate
 from .transforms import NotRealizableError, convert
@@ -80,10 +80,8 @@ def _read_values(path: Optional[str]) -> list[int]:
 
 
 def _check_terms(n_terms: Optional[int]) -> None:
-    if n_terms is not None and n_terms < 1:
-        raise ValueError(f"--terms must be at least 1, got {n_terms}")
-    if n_terms is not None and n_terms > sys.maxsize:  # past any list's length
-        raise ValueError(f"--terms must be at most {sys.maxsize}, got {n_terms}")
+    if n_terms is not None:  # at most the length of any list
+        _require_int(n_terms, "--terms", most=sys.maxsize)
 
 
 def _read_sequence(path: Optional[str], view: View, n_terms: Optional[int] = None) -> Sequence:
@@ -146,8 +144,7 @@ def _cmd_op(args) -> int:
         if args.k is None:
             raise ValueError("iterate requires --k")
         _check_terms(n_terms)
-        if args.k < 1:  # before --terms is multiplied by it
-            raise ValueError(f"iterate_orbits needs an integer power k >= 1, got {args.k}")
+        _require_int(args.k, "--k")  # before --terms is multiplied by it
         n_terms, power = n_terms and args.k * n_terms, (args.k,)  # k input terms per output
     elif args.k is not None:
         raise ValueError("--k only applies to iterate")
@@ -184,8 +181,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_growth(args) -> int:
     _check_terms(args.terms)
-    if args.h <= 0:
-        raise ValueError("--h must be a positive growth rate")
+    _require_rate(args.h, "--h")  # both rates before any term is built
+    _require_rate(args.c1, "--c1")
     orbits = convert(builtin(args.name, _parse_params(args.param), args.terms), View.ORBIT)
     report = pnt_report(orbits, args.h, args.c1, args.terms)
     for name, value in zip(report._fields, report):
@@ -194,8 +191,7 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    if args.limit < 1:  # before the input is read, as --terms is
-        raise ValueError(f"--limit must be at least 1, got {args.limit}")
+    _require_int(args.limit, "--limit", most=sys.maxsize)  # before the input is read
     _check_terms(args.terms)
     target = _read_sequence(args.infile, View.ORBIT, args.terms)
     if args.json:

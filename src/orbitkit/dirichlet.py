@@ -16,7 +16,7 @@ from __future__ import annotations
 from operator import add, sub
 from typing import Iterable
 
-from .numtheory import _require_positive, primes_upto
+from .numtheory import _require_int, primes_upto
 
 
 class DirichletPoly:
@@ -66,9 +66,8 @@ class DirichletPoly:
 
 def zeta_shift(a: int, n_terms: int) -> DirichletPoly:
     """zeta(s - a) truncated: coefficient n**a at n, for a >= 0."""
-    _require_positive(n_terms, "n_terms")
-    if not isinstance(a, int) or isinstance(a, bool) or a < 0:
-        raise ValueError(f"shift must be a nonnegative integer, got {a!r}")
+    _require_int(n_terms, "n_terms")
+    _require_int(a, "shift", least=0)
     return DirichletPoly(tuple(n**a for n in range(1, n_terms + 1)))
 
 
@@ -79,12 +78,11 @@ def zeta_poly(n_terms: int) -> DirichletPoly:
 
 def sparse(entries: Iterable[tuple[int, int]], n_terms: int) -> DirichletPoly:
     """Polynomial with the given (index, coefficient) entries, rest zero."""
-    _require_positive(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms")
     coeffs: list[int] = [0] * n_terms
     seen: set[int] = set()
     for idx, value in entries:
-        if not 1 <= idx <= n_terms:
-            raise ValueError(f"sparse index {idx} outside 1..{n_terms}")
+        _require_int(idx, "sparse index", most=n_terms)
         if idx in seen:
             raise ValueError(f"duplicate sparse index {idx}")
         seen.add(idx)
@@ -155,8 +153,7 @@ def dilate(a: DirichletPoly, k: int) -> DirichletPoly:
     Composing with zeta_shift gives the even-argument zeta values, e.g.
     dilate(zeta_shift(c, N), 2) is zeta(2s - c) truncated to N.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"dilation power must be an integer >= 1, got {k!r}")
+    _require_int(k, "k")
     n_out = len(a)
     out: list[int] = [0] * n_out
     j = 1

@@ -20,10 +20,11 @@ product; a caller that only prints pairs can read the blocks instead.
 
 from __future__ import annotations
 
+import sys
 from itertools import islice, product
 from typing import Iterator, NamedTuple
 
-from .numtheory import divisors
+from .numtheory import _require_int, divisors
 from .sequences import Sequence, View
 from .transforms import orbit_to_fix
 
@@ -46,8 +47,7 @@ def factor_search(target: Sequence, *, limit: int = 10_000) -> FactorSearchResul
     the list stops there and ``truncated`` is set.
     """
     target.require_view(View.ORBIT, "factor_search")
-    if limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
+    _require_int(limit, "limit", most=sys.maxsize)  # islice's bound
     # the last index varies fastest and each list ascends in u(k), so the
     # pairs stay in lexicographic order of the left factor
     pairs = (

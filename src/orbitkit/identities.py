@@ -29,7 +29,9 @@ from .bfile import format_bfile, parse_bfile
 from .factorization import factor_search
 from .numtheory import (
     PrimeSet,
+    _require_int,
     divisors,
+    euler_phi,
     factorize,
     is_prime,
     mobius,
@@ -90,8 +92,7 @@ def identity(name: str, default_terms: int, description: str):
 def run(name: str, terms: Optional[int] = None) -> VerifyResult:
     ident = REGISTRY[name]
     n = ident.default_terms if terms is None else terms
-    if n < 1:
-        raise ValueError(f"terms must be >= 1, got {n}")
+    _require_int(n, "terms")
     try:
         ident.check(n)
     except Mismatch as exc:
@@ -733,6 +734,9 @@ def _oracle_iterate(n: int) -> None:
 
 @identity("cyclic-subgroups", 60, "cyclic subgroup counts equal the self-product")
 def _cyclic_subgroups(n: int) -> None:
+    # Gauss's sum_{d|m} phi(d) = m first: the count below divides by phi
+    phi_sums = (sum(map(euler_phi, divisors(m))) for m in range(1, n + 1))
+    _expect(range(1, n + 1), phi_sums, "divisor sum of phi is not n")
     prod = operators.product_orbits(zeta(n), zeta(n))
     counts = map(oracle.cyclic_subgroup_count, range(1, n + 1))
     _expect(counts, prod, "cyclic subgroup count disagrees")

@@ -4,18 +4,24 @@ Plain trial division in factorize, which divisors builds on, and in mobius
 and is_prime: whole-vector divisor sums run in dirichlet, so these per-n
 calls serve only identities, referees and the factor search.  The one
 sieve lists the primes for dirichlet's Euler-product kernels.  Exact ints.
+_require_int is the one check of every integer argument in the library.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 from math import isqrt
-from typing import Iterable
+from typing import Iterable, Optional
 
 
-def _require_positive(n: int, name: str = "n") -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ValueError(f"{name} must be a positive integer, got {n!r}")
+def _require_int(value: int, name: str, least: int = 1, most: Optional[int] = None) -> None:
+    """The one integer argument check: an int, not a bool, in least..most."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value}")
 
 
 def is_prime(n: int) -> bool:
@@ -45,7 +51,7 @@ def primes_upto(n: int) -> list[int]:
 
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Ascending (prime, exponent) pairs of n by trial division; () for n = 1."""
-    _require_positive(n)
+    _require_int(n, "n")
     pairs: list[tuple[int, int]] = []
     m = n
     p = 2
@@ -72,7 +78,7 @@ def divisors(n: int) -> list[int]:
 
 def mobius(n: int) -> int:
     """Moebius mu: (-1)^k for squarefree n with k prime factors, else 0."""
-    _require_positive(n)
+    _require_int(n, "n")
     out = 1
     m = n
     p = 2
@@ -90,9 +96,8 @@ def mobius(n: int) -> int:
 
 def sigma_k(n: int, k: int) -> int:
     """Sum of d**k over the divisors d of n."""
-    _require_positive(n)
-    if not isinstance(k, int) or k < 0:
-        raise ValueError(f"k must be a nonnegative integer, got {k!r}")
+    _require_int(n, "n")
+    _require_int(k, "k", least=0)
     out = 1
     for p, a in factorize(n):
         out *= sum(p ** (k * j) for j in range(a + 1))
@@ -101,7 +106,7 @@ def sigma_k(n: int, k: int) -> int:
 
 def euler_phi(n: int) -> int:
     """Euler totient."""
-    _require_positive(n)
+    _require_int(n, "n")
     out = n
     for p, _ in factorize(n):
         out = out // p * (p - 1)
@@ -171,7 +176,7 @@ def part(n: int, s: PrimeSet) -> int:
     For a finite s this never factors n, so it stays cheap even when n
     is an enormous integer such as 2**200 - 1.
     """
-    _require_positive(n)
+    _require_int(n, "n")
     if not s.cofinite:
         out = 1
         m = n

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from operator import add, mul
 
-from .numtheory import factorize
+from .numtheory import _require_int, factorize
 from .sequences import Sequence, View
 from .transforms import fix_to_orbit, orbit_to_fix
 
@@ -38,8 +38,7 @@ def product_fix(f: Sequence, g: Sequence) -> Sequence:
 
 
 def _check_power(k: int, available: int, op: str) -> int:
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"{op} needs an integer power k >= 1, got {k!r}")
+    _require_int(k, "k")
     n_out = available // k
     if n_out < 1:
         raise ValueError(

@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import comb, gcd
 from typing import Iterator
 
-from .numtheory import _require_positive, divisors, euler_phi, mobius
+from .numtheory import _require_int, divisors, euler_phi, mobius
 from .sequences import Sequence, View
 
 
@@ -22,8 +22,7 @@ def count_fixed(o: Sequence, n: int) -> int:
     """Points fixed by the n-th iterate: every point on a cycle whose
     length divides n."""
     o.require_view(View.ORBIT, "oracle.count_fixed")
-    if not 1 <= n <= len(o):
-        raise ValueError(f"n={n} exceeds the realized horizon {len(o)}")
+    _require_int(n, "n", most=len(o))
     return sum(d * o[d] for d in divisors(n))
 
 
@@ -73,9 +72,7 @@ def simulate_product(u: Sequence, v: Sequence, n_terms: int) -> Sequence:
     """
     u.require_view(View.ORBIT, "oracle.simulate_product")
     v.require_view(View.ORBIT, "oracle.simulate_product")
-    if n_terms > len(u) or n_terms > len(v):
-        raise ValueError(f"n_terms {n_terms} exceeds a horizon ({len(u)}, {len(v)})")
-    _require_positive(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=min(len(u), len(v)))
     counts = [0] * (n_terms + 1)
     for d1, c1 in enumerate(u.terms, start=1):
         for d2, c2 in enumerate(v.terms, start=1):
@@ -88,10 +85,8 @@ def simulate_iterate(o: Sequence, k: int, n_terms: int) -> Sequence:
     """Orbit counts of the k-th iterate, found by tracing points: the k-th
     iterate of a d-cycle is the step (k, 0) on the d x 1 grid."""
     o.require_view(View.ORBIT, "oracle.simulate_iterate")
-    _require_positive(k, "k")
-    _require_positive(n_terms, "n_terms")
-    if k * n_terms > len(o):
-        raise ValueError(f"need realization to length {k * n_terms}, have {len(o)}")
+    _require_int(k, "k")
+    _require_int(n_terms, "n_terms", most=len(o) // k)
     counts = [0] * (n_terms + 1)
     for d, c in enumerate(o.terms, start=1):
         if c:
@@ -118,8 +113,7 @@ def monoid_by_partitions(o: Sequence, order: int) -> Sequence:
     order, so only for small orders.
     """
     o.require_view(View.ORBIT, "oracle.monoid_by_partitions")
-    if not 1 <= order <= len(o):
-        raise ValueError(f"order {order} outside 1..{len(o)}")
+    _require_int(order, "order", most=len(o))
     counts = []
     for n in range(1, order + 1):
         total = 0
@@ -139,7 +133,7 @@ def cyclic_subgroup_count(n: int) -> int:
     For each d | n there are sum_{e|d} mu(d/e) e^2 elements of exact
     order d, and each cyclic subgroup of order d owns phi(d) of them.
     """
-    _require_positive(n)
+    _require_int(n, "n")
     total = 0
     for d in divisors(n):
         exact = sum(mobius(d // e) * e * e for e in divisors(d))
@@ -156,7 +150,7 @@ def primitive_lattice_count(n: int) -> int:
     Hermite normal form: bases ((a, b), (0, c)) with ac = n and
     0 <= b < a, primitive when gcd(a, b, c) = 1.
     """
-    _require_positive(n)
+    _require_int(n, "n")
     total = 0
     for a in divisors(n):
         c = n // a

@@ -38,15 +38,17 @@ def test_mertens_small_cases():
 def test_harmonic_number():
     assert harmonic_number(1) == 1.0
     assert harmonic_number(4) == pytest.approx(1 + 0.5 + 1 / 3 + 0.25)
-    with pytest.raises(ValueError, match="^n must be positive, got 0$"):
+    with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
         harmonic_number(0)
 
 
 @pytest.mark.parametrize("n_max, h, message", [
-    (0, LN2, "n_max 0 outside 1..3"),
-    (4, LN2, "n_max 4 outside 1..3"),
-    (3, 0.0, "h must be positive, got 0.0"),
-    (3, -1.0, "h must be positive, got -1.0"),
+    (0, LN2, "n_max must be at least 1, got 0"),
+    (4, LN2, "n_max must be at most 3, got 4"),
+    (3, 0.0, "h must be positive and finite, got 0.0"),
+    (3, -1.0, "h must be positive and finite, got -1.0"),
+    (3, math.inf, "h must be positive and finite, got inf"),
+    (3, math.nan, "h must be positive and finite, got nan"),
 ])
 def test_mertens_sum_rejects_bad_arguments(n_max, h, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

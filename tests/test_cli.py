@@ -178,7 +178,7 @@ def test_op_iterate_names_a_bad_power_before_the_terms(capsys, tmp_path, k, term
     f.write_text("".join(f"{n} 1\n" for n in range(1, 7)), encoding="ascii")
     code, out, err = run_cli(capsys, "op", "iterate", "--in", str(f), "--k", k, "--terms", terms)
     assert (code, out) == (2, "")
-    assert err == f"usage error: iterate_orbits needs an integer power k >= 1, got {k}\n"
+    assert err == f"usage error: --k must be at least 1, got {k}\n"
 
 
 def test_op_product_needs_two_inputs(capsys, tmp_path):
@@ -360,6 +360,26 @@ def test_growth_rejects_nonpositive_h(capsys):
     assert "positive" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value", [("--c1", "-1"), ("--c1", "nan"), ("--h", "inf"), ("--h", "-inf")]
+)
+def test_growth_checks_both_rates_before_building_the_sequence(capsys, monkeypatch, flag, value):
+    calls = []
+
+    def builtin(*args):
+        calls.append(args)
+        raise AssertionError("the sequence was built before the rates were checked")
+
+    monkeypatch.setattr("orbitkit.cli.builtin", builtin)
+    given = {"--h": "1", "--c1": "1", flag: value}
+    code, out, err = run_cli(
+        capsys, "growth", "--name", "full_shift", "--param", "a=2", "--terms", "40000",
+        *(f"{k}={v}" for k, v in given.items()),
+    )
+    assert (code, out, calls) == (2, "", [])
+    assert err == f"usage error: {flag} must be positive and finite, got {float(value)}\n"
+
+
 def test_factor_text_output(capsys, tmp_path):
     f = tmp_path / "delta.b"
     f.write_text("1 1\n2 0\n3 0\n", encoding="ascii")
@@ -454,6 +474,16 @@ def test_factor_checks_limit_before_reading(capsys, monkeypatch, limit):
     monkeypatch.setattr("sys.stdin", io.StringIO("1 x\n"))
     code, out, err = run_cli(capsys, "factor", "--limit", limit)
     assert (code, out, err) == (2, "", f"usage error: --limit must be at least 1, got {limit}\n")
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_factor_limit_past_an_index_is_usage_error(capsys, monkeypatch, json_flag):
+    # the search stops through islice, which takes at most sys.maxsize: checked before any output
+    monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n2 1\n"))
+    limit = sys.maxsize + 1
+    code, out, err = run_cli(capsys, "factor", "--limit", str(limit), *json_flag)
+    assert (code, out) == (2, "")
+    assert err == f"usage error: --limit must be at most {sys.maxsize}, got {limit}\n"
 
 
 def test_export_import_roundtrip(capsys, tmp_path):

@@ -54,7 +54,7 @@ def test_rejects_zero_leading_term():
 
 
 def test_rejects_limit_below_one():
-    with pytest.raises(ValueError, match="^limit must be >= 1, got 0$"):
+    with pytest.raises(ValueError, match="^limit must be at least 1, got 0$"):
         factor_search(zeta(3), limit=0)
 
 

@@ -1,9 +1,12 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
-from orbitkit import dirichlet, factor_search, identities, operators, transforms, zetaseries
+from orbitkit import (
+    dirichlet, factor_search, identities, numtheory, operators, transforms, zetaseries,
+)
 from orbitkit.cli import main
 from orbitkit.identities import (
     REGISTRY,
@@ -152,6 +155,25 @@ def test_verify_all_reports_every_failure(monkeypatch, capsys):
         for name in REGISTRY
     )
     assert out == expected
+
+
+def test_a_wrong_phi_fails_cyclic_subgroups_and_nothing_else(monkeypatch, capsys):
+    # phi(n) + 1 breaks Gauss's sum_{d|m} phi(d) = m at m = 1, before the oracle divides by it
+    real = numtheory.euler_phi
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orbitkit") and getattr(module, "euler_phi", None) is real:
+            monkeypatch.setattr(module, "euler_phi", lambda n: real(n) + 1)
+    code = main(["verify", "all"])
+    out = capsys.readouterr().out
+    assert code == 1
+    expected = "".join(
+        "cyclic-subgroups: FAIL at index 1 (divisor sum of phi is not n)\n"
+        if name == "cyclic-subgroups"
+        else f"{name}: PASS\n"
+        for name in REGISTRY
+    )
+    assert out == expected
+    assert len(out.splitlines()) == 51
 
 
 def test_wrong_product_term_is_reported_at_its_index(monkeypatch):

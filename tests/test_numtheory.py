@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +17,11 @@ from orbitkit import (
     primes_upto,
     sigma_k,
 )
+from orbitkit import asymptotics, dirichlet, operators, oracle, sequences
+from orbitkit.factorization import factor_search
+from orbitkit.identities import run
 from orbitkit.sequences import s_p
+from orbitkit.transforms import orbit_to_fix
 from helpers import divisors_brute, mobius_brute, phi_brute, sigma_brute
 
 
@@ -178,3 +184,82 @@ def test_part_multiplicative_on_coprimes(m, n):
         return
     s = PrimeSet.finite((2, 7))
     assert part(m * n, s) == part(m, s) * part(n, s)
+
+
+# every integer argument of the library goes through numtheory._require_int:
+# label: (call with the value, the argument's name, least, most or None)
+_Z6 = sequences.zeta(6)
+_TWO = PrimeSet.finite((2,))
+_INTEGER_ARGUMENTS = {
+    "factorize": (factorize, "n", 1, None),
+    "mobius": (mobius, "n", 1, None),
+    "euler_phi": (euler_phi, "n", 1, None),
+    "part": (lambda x: part(x, _TWO), "n", 1, None),
+    "sigma_k-n": (lambda x: sigma_k(x, 1), "n", 1, None),
+    "sigma_k-k": (lambda x: sigma_k(6, x), "k", 0, None),
+    "zeta_shift-n_terms": (lambda x: dirichlet.zeta_shift(1, x), "n_terms", 1, None),
+    "zeta_shift-shift": (lambda x: dirichlet.zeta_shift(x, 3), "shift", 0, None),
+    "zeta_poly": (dirichlet.zeta_poly, "n_terms", 1, None),
+    "sparse-n_terms": (lambda x: dirichlet.sparse([], x), "n_terms", 1, None),
+    "sparse-index": (lambda x: dirichlet.sparse([(x, 5)], 3), "sparse index", 1, 3),
+    "dilate": (lambda x: dirichlet.dilate(dirichlet.zeta_poly(4), x), "k", 1, None),
+    "iterate_orbits": (lambda x: operators.iterate_orbits(_Z6, x), "k", 1, None),
+    "iterate_fix": (lambda x: operators.iterate_fix(orbit_to_fix(_Z6), x), "k", 1, None),
+    **{
+        name: (factory, "n_terms", 1, None)
+        for name, factory in [
+            ("zeta", sequences.zeta),
+            ("delta", sequences.delta),
+            ("id_orbits", sequences.id_orbits),
+            ("geometric", lambda x: sequences.geometric(2, x)),
+            ("s_p", lambda x: sequences.s_p(_TWO, x)),
+            ("feigenbaum", sequences.feigenbaum),
+            ("ternary", sequences.ternary),
+            ("golden_mean", sequences.golden_mean),
+            ("full_shift", lambda x: sequences.full_shift(2, x)),
+            ("dual_rational", lambda x: sequences.dual_rational(1, 2, x)),
+            ("localized_23", sequences.localized_23),
+            ("s_integer_23", sequences.s_integer_23),
+            ("s_part_seq", lambda x: sequences.s_part_seq(_TWO, x)),
+            ("a_s", lambda x: sequences.a_s(_TWO, x)),
+        ]
+    },
+    "geometric-p": (lambda x: sequences.geometric(x, 3), "p", 2, None),
+    "full_shift-a": (lambda x: sequences.full_shift(x, 3), "a", 2, None),
+    "dual_rational-a": (lambda x: sequences.dual_rational(x, 5, 3), "a", 1, None),
+    "dual_rational-b": (lambda x: sequences.dual_rational(2, x, 3), "b", 3, None),
+    "truncate": (lambda x: sequences.truncate(_Z6, x), "m", 1, 6),
+    "count_fixed": (lambda x: oracle.count_fixed(_Z6, x), "n", 1, 6),
+    "monoid_by_partitions": (lambda x: oracle.monoid_by_partitions(_Z6, x), "order", 1, 6),
+    "simulate_product": (
+        lambda x: oracle.simulate_product(_Z6, sequences.zeta(4), x), "n_terms", 1, 4
+    ),
+    "simulate_iterate-k": (lambda x: oracle.simulate_iterate(_Z6, x, 1), "k", 1, None),
+    "simulate_iterate-n_terms": (lambda x: oracle.simulate_iterate(_Z6, 2, x), "n_terms", 1, 3),
+    "cyclic_subgroup_count": (oracle.cyclic_subgroup_count, "n", 1, None),
+    "primitive_lattice_count": (oracle.primitive_lattice_count, "n", 1, None),
+    "factor_search": (lambda x: factor_search(_Z6, limit=x), "limit", 1, sys.maxsize),
+    "pi_count": (lambda x: asymptotics.pi_count(_Z6, x), "n_max", 1, 6),
+    "mertens_sum": (lambda x: asymptotics.mertens_sum(_Z6, x, 1.0), "n_max", 1, 6),
+    "harmonic_number": (asymptotics.harmonic_number, "n", 1, None),
+    "run": (lambda x: run("mobius-sum", x), "terms", 1, None),
+}
+
+
+def _bad_values(least, most):
+    """(value, the rule it breaks): a bool, a float, and one past each bound."""
+    yield True, "an integer, got True"
+    yield 2.5, "an integer, got 2.5"
+    yield least - 1, f"at least {least}, got {least - 1}"
+    if most is not None:
+        yield most + 1, f"at most {most}, got {most + 1}"
+
+
+@pytest.mark.parametrize("call, value, message", [
+    pytest.param(call, value, f"{name} must be {rule}", id=f"{label}-{value!r}")
+    for label, (call, name, least, most) in _INTEGER_ARGUMENTS.items()
+    for value, rule in _bad_values(least, most)
+])
+def test_every_integer_argument_has_one_check(call, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
