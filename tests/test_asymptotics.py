@@ -42,13 +42,20 @@ def test_harmonic_number():
         harmonic_number(0)
 
 
+# Each id names the rule broken; the body pins the exact message.
 @pytest.mark.parametrize("n_max, h, message", [
-    (0, LN2, "n_max must be at least 1, got 0"),
-    (4, LN2, "n_max must be at most 3, got 4"),
-    (3, 0.0, "h must be positive and finite, got 0.0"),
-    (3, -1.0, "h must be positive and finite, got -1.0"),
-    (3, math.inf, "h must be positive and finite, got inf"),
-    (3, math.nan, "h must be positive and finite, got nan"),
+    pytest.param(0, LN2, "n_max must be at least 1, got 0",
+                 id=f"0-{LN2}-n_max 0 outside 1..3"),
+    pytest.param(4, LN2, "n_max must be at most 3, got 4",
+                 id=f"4-{LN2}-n_max 4 outside 1..3"),
+    pytest.param(3, 0.0, "h must be positive and finite, got 0.0",
+                 id="3-0.0-h must be positive, got 0.0"),
+    pytest.param(3, -1.0, "h must be positive and finite, got -1.0",
+                 id="3--1.0-h must be positive, got -1.0"),
+    pytest.param(3, math.inf, "h must be positive and finite, got inf",
+                 id="3-inf-h must be finite, got inf"),
+    pytest.param(3, math.nan, "h must be positive and finite, got nan",
+                 id="3-nan-h must be finite, got nan"),
 ])
 def test_mertens_sum_rejects_bad_arguments(n_max, h, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
