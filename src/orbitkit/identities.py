@@ -283,28 +283,28 @@ def _euler_roundtrip(n: int) -> None:
 
 @identity("multiplicative-iff", 60, "orbit counts multiplicative iff fix counts are")
 def _mult_iff(n: int) -> None:
-    to_fix = ("an orbit case", transforms.orbit_to_fix)
-    to_orbit = ("a fix case", transforms.fix_to_orbit)
+    to_fix = ("orbit counts", transforms.orbit_to_fix)
+    to_orbit = ("fix counts", transforms.fix_to_orbit)
     cases = (
-        (zeta(n), to_fix),
-        (delta(n), to_fix),
-        (id_orbits(n), to_fix),
-        (geometric(2, n), to_fix),
-        (feigenbaum(n), to_fix),
-        (ternary(n), to_fix),
-        (s_p(PrimeSet.finite((2,)), n), to_fix),
-        (s_p(PrimeSet.all_except((2,)), n), to_fix),
-        (golden_mean(n), to_orbit),
-        (full_shift(2, n), to_orbit),
-        (full_shift(3, n), to_orbit),
-        (dual_rational(2, 3, n), to_orbit),
-        (localized_23(n), to_orbit),
-        (s_integer_23(n), to_orbit),
+        ("zeta", zeta(n), to_fix),
+        ("delta", delta(n), to_fix),
+        ("id_orbits", id_orbits(n), to_fix),
+        ("geometric p=2", geometric(2, n), to_fix),
+        ("feigenbaum", feigenbaum(n), to_fix),
+        ("ternary", ternary(n), to_fix),
+        ("s_P P=2", s_p(PrimeSet.finite((2,)), n), to_fix),
+        ("s_P P=~2", s_p(PrimeSet.all_except((2,)), n), to_fix),
+        ("golden_mean", golden_mean(n), to_orbit),
+        ("full_shift a=2", full_shift(2, n), to_orbit),
+        ("full_shift a=3", full_shift(3, n), to_orbit),
+        ("dual_rational a=2 b=3", dual_rational(2, 3, n), to_orbit),
+        ("localized_23", localized_23(n), to_orbit),
+        ("s_integer_23", s_integer_23(n), to_orbit),
     )
-    for seq, (label, convert) in cases:
+    for label, seq, (view, convert) in cases:
         want = transforms.is_multiplicative(seq) is None
         if (transforms.is_multiplicative(convert(seq)) is None) != want:
-            raise Mismatch(None, f"orbit/fix multiplicativity disagree on {label}")
+            raise Mismatch(None, f"orbit/fix multiplicativity disagree on the {view} of {label}")
 
 
 @identity("product-multiplicative", 60, "products of multiplicative systems stay multiplicative")
@@ -777,14 +777,15 @@ def _product(left: tuple, right: tuple) -> Sequence:
 def _zeta_factor(n: int) -> None:
     target = zeta(n)
     # zeta to n terms has exactly 2^pi(n) pairs; the limit leaves room for one too many
-    expected_count = 2 ** len(primes_upto(n))
+    primes = primes_upto(n)
+    expected_count = 2 ** len(primes)
     result = factor_search(target, limit=expected_count + 1)
     if result.truncated:
         raise Mismatch(None, "search unexpectedly truncated")
     if len(result.pairs) != expected_count:
         raise Mismatch(None, f"found {len(result.pairs)} pairs, expected {expected_count}")
     for left, right in result.pairs:
-        excluded = tuple(p for p in primes_upto(n) if left[p - 1] == 0)
+        excluded = tuple(p for p in primes if left[p - 1] == 0)
         _expect(s_p(PrimeSet.finite(excluded), n), left,
                 "left factor is not a prime-set indicator")
         _expect(s_p(PrimeSet.all_except(excluded), n), right,

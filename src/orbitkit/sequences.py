@@ -44,6 +44,7 @@ class Sequence:
         object.__setattr__(self, "terms", terms)
         self.__post_init__()
 
+    # its own method, not part of __init__, because perfbench times it as sequences.validate
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple(self.terms))
         if not isinstance(self.view, View):

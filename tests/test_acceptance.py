@@ -54,6 +54,7 @@ from orbitkit.sequences import (
     s_part_seq,
     zeta,
 )
+from helpers import random_orbit
 
 
 def report(num, name, check):
@@ -63,10 +64,6 @@ def report(num, name, check):
         print(f"C{num:02d} {name}: FAIL")
         raise
     print(f"C{num:02d} {name}: PASS")
-
-
-def rand_orbit(rng, n, max_term):
-    return Sequence(View.ORBIT, tuple(rng.randint(0, max_term) for _ in range(n)))
 
 
 # -- 1 -----------------------------------------------------------------
@@ -157,7 +154,7 @@ def test_c04():
 def _three_routes():
     rng = random.Random(2024)
     for _ in range(100):
-        o = rand_orbit(rng, rng.randint(1, 40), 4)
+        o = random_orbit(rng, rng.randint(1, 40), 4)
         g = euler(o)
         assert product_formula(o) == g
         m = min(len(g), PARTITION_TERMS)
@@ -191,8 +188,8 @@ def _oracle_equivalence():
             assert simulate_iterate(o, k, 6 // k) == iterate_orbits(o, k)
     rng = random.Random(2025)
     for _ in range(100):
-        u = rand_orbit(rng, 12, 3)
-        v = rand_orbit(rng, 12, 3)
+        u = random_orbit(rng, 12, 3)
+        v = random_orbit(rng, 12, 3)
         assert simulate_product(u, v, 12) == product_orbits(u, v)
         k = rng.randint(1, 6)
         assert simulate_iterate(u, k, 12 // k) == iterate_orbits(u, k)
@@ -343,12 +340,12 @@ def test_c12():
 def _roundtrips():
     rng = random.Random(2026)
     for _ in range(200):
-        o = rand_orbit(rng, rng.randint(1, 200), 9)
+        o = random_orbit(rng, rng.randint(1, 200), 9)
         f = orbit_to_fix(o)
         assert fix_to_orbit(f) == o
         assert orbit_to_fix(fix_to_orbit(f)) == f
     for _ in range(200):
-        o = rand_orbit(rng, rng.randint(1, 60), 5)
+        o = random_orbit(rng, rng.randint(1, 60), 5)
         g = euler(o)
         assert euler_inverse(g) == o
         assert euler(euler_inverse(g)) == g

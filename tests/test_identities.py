@@ -1,12 +1,11 @@
 import hashlib
+import importlib
 import random
 import sys
 
 import pytest
 
-from orbitkit import (
-    dirichlet, factor_search, identities, numtheory, operators, transforms, zetaseries,
-)
+from orbitkit import DirichletPoly, factor_search, identities
 from orbitkit.cli import main
 from orbitkit.identities import (
     REGISTRY,
@@ -44,62 +43,150 @@ def test_every_identity_passes_at_small_terms(terms):
     assert [r for r in results if not r.ok] == []
 
 
-def _euler_off_by_one_at_3(monkeypatch):
-    """Make transforms.euler add 1 to its third term."""
-    real = transforms.euler
-
-    def wrong(o):
-        g = real(o)
-        if len(g) < 3:
-            return g
-        terms = list(g.terms)
-        terms[2] += 1
-        return Sequence(g.view, tuple(terms))
-
-    monkeypatch.setattr(transforms, "euler", wrong)
+def _trace_one_step_long(real):
+    """oracle._trace, which writes into `counts`, with every cycle it traces one step longer."""
+    def fake(d1, d2, s1, s2, weight, counts):
+        shorter = [0] * (len(counts) - 1)
+        real(d1, d2, s1, s2, weight, shorter)
+        for length, count in enumerate(shorter):
+            counts[length + 1] += count
+    return fake
 
 
-# the identities a wrong third product-formula term breaks at default terms
-_PRODUCT_AT_3_FAILURES = {
-    "three-route-monoid": "zeta function routes disagree",
-    "golden-mean-monoid": "product route: monoid counts are not Fibonacci(n+1)",
-    "full-shift-monoid": "product route: monoid counts wrong for a=2",
-    "dual-rational-monoid": "product route: monoid counts wrong for (1,2)",
-    "s-integer-monoid": "product route disagrees with the recurrence",
-}
-
-
-def test_wrong_product_formula_term_is_reported_at_its_index(monkeypatch):
+# kernel "module.name": (corruption, the FAIL lines `verify all` prints at default terms).
+# A corruption k adds 1 to output term k, None adds 1 to every value of an int-valued
+# kernel, and a callable maps the real kernel to its fake. A new kernel is one new row.
+_KERNEL_FAULTS = {
+    "transforms.euler": (3, """
+        euler-roundtrip: FAIL at index 3 (euler_inverse(euler(o)) != o)
+        three-route-monoid: FAIL at index 3 (zeta function routes disagree)
+        euler-partitions: FAIL at index 3 (partition prefix wrong)
+        golden-mean-monoid: FAIL at index 3 (monoid counts are not Fibonacci(n+1))
+        full-shift-monoid: FAIL at index 3 (monoid counts wrong for a=2)
+        dual-rational-monoid: FAIL at index 3 (monoid counts wrong for (1,2))
+        localized-monoid: FAIL at index 2 (even/odd monoid pairing fails)
+        s-integer-monoid: FAIL at index 3 (monoid prefix wrong)
+    """),
     # the closed-form monoid checks compare the product route with the Euler recurrence
-    real = zetaseries.product_formula
-
-    def wrong(o):
-        g = real(o)
-        if len(g) < 3:
-            return g
-        return Sequence(g.view, (*g.terms[:2], g.terms[2] + 1, *g.terms[3:]))
-
-    monkeypatch.setattr(zetaseries, "product_formula", wrong)
-    for name in REGISTRY:
-        result = run(name)
-        if name in _PRODUCT_AT_3_FAILURES:
-            assert (result.ok, result.failing_index) == (False, 3), name
-            assert result.detail == _PRODUCT_AT_3_FAILURES[name]
-        else:
-            assert result.ok, name
-
-
-# the identities a wrong third Euler term breaks at default terms
-_EULER_AT_3_FAILURES = {
-    "euler-roundtrip": " at index 3 (euler_inverse(euler(o)) != o)",
-    "three-route-monoid": " at index 3 (zeta function routes disagree)",
-    "euler-partitions": " at index 3 (partition prefix wrong)",
-    "golden-mean-monoid": " at index 3 (monoid counts are not Fibonacci(n+1))",
-    "full-shift-monoid": " at index 3 (monoid counts wrong for a=2)",
-    "dual-rational-monoid": " at index 3 (monoid counts wrong for (1,2))",
-    "localized-monoid": " at index 2 (even/odd monoid pairing fails)",
-    "s-integer-monoid": " at index 3 (monoid prefix wrong)",
+    "zetaseries.product_formula": (3, """
+        three-route-monoid: FAIL at index 3 (zeta function routes disagree)
+        golden-mean-monoid: FAIL at index 3 (product route: monoid counts are not Fibonacci(n+1))
+        full-shift-monoid: FAIL at index 3 (product route: monoid counts wrong for a=2)
+        dual-rational-monoid: FAIL at index 3 (product route: monoid counts wrong for (1,2))
+        s-integer-monoid: FAIL at index 3 (product route disagrees with the recurrence)
+    """),
+    "dirichlet.zeta_shift": (4, """
+        ttimest-series: FAIL at index 4 (cleared-denominator identity fails)
+        fix-series: FAIL at index 4 (fix series identity fails)
+        iterate-id2-series: FAIL at index 4 (sparse form fails)
+        iterate-idp-series: FAIL at index 4 (sparse form fails for p=2)
+        s-part-interpolation: FAIL at index 4 (interpolation fails for S=(2,))
+        rational-a-series: FAIL at index 4 (a_S identity fails for S=(2,))
+        sp-zeta-product-series: FAIL at index 4 (closed form fails for P=(2,))
+        ramanujan-series: FAIL at index 4 (series identity fails for (a,b)=(0,1))
+        mobius-series: FAIL at index 4 (zeta * mu != delta)
+    """),
+    # Gauss's sum of phi(d) over d | m breaks at m = 1, before the oracle divides by it
+    "numtheory.euler_phi": (None, """
+        cyclic-subgroups: FAIL at index 1 (divisor sum of phi is not n)
+    """),
+    "oracle._trace": (_trace_one_step_long, """
+        oracle-product: FAIL at index 3 (exhaustive case u=(0, 0, 1), v=(0, 0, 1))
+        oracle-iterate: FAIL at index 1 (exhaustive case o=(1, 0, 0, 0, 0, 0), k=1)
+    """),
+    "operators.product_orbits": (2, """
+        product-multiplicative: FAIL (product lost multiplicativity, witness (2, 3))
+        product-identity: FAIL at index 2 (delta is not the product identity)
+        product-associative: FAIL at index 2 (product is not associative)
+        product-distributive: FAIL at index 2 (product does not distribute over union)
+        product-fix-consistency: FAIL at index 2 (lcm product disagrees with the fix-count route)
+        ttimest-series: FAIL at index 2 (self-product prefix wrong)
+        sp-zeta-product-series: FAIL at index 2 (closed form fails for P=(2,))
+        a035109-prefix: FAIL at index 2 (prefix wrong)
+        ramanujan-series: FAIL at index 2 (pointwise form fails for (a,b)=(0,1))
+        oracle-product: FAIL at index 2 (exhaustive case u=(0, 0, 0), v=(0, 0, 0))
+        cyclic-subgroups: FAIL at index 2 (cyclic subgroup count disagrees)
+        primitive-lattices: FAIL at index 2 (lattice divisor sum disagrees)
+        zeta-factorization: FAIL at index 2 (pair does not multiply back to zeta)
+        three-smooth-factor: FAIL at index 2 (product is not the 3-smooth indicator)
+    """),
+    # operators and factorization import it by name; F(1) one too high is not realizable
+    # at n = 2, and each identity reports that kernel error as its own FAIL
+    "transforms.orbit_to_fix": (1, """
+        fix-orbit-roundtrip: FAIL at index 2 (orbit count at n=2 is not integral)
+        euler-roundtrip: FAIL at index 2 (monoid count at n=2 is not integral)
+        multiplicative-iff: FAIL (orbit/fix multiplicativity disagree on the orbit counts of zeta)
+        product-multiplicative: FAIL at index 2 (orbit count at n=2 is not integral)
+        product-identity: FAIL at index 2 (orbit count at n=2 is not integral)
+        product-commutative: FAIL at index 2 (orbit count at n=2 is not integral)
+        product-associative: FAIL at index 3 (orbit count at n=3 is not integral)
+        product-distributive: FAIL at index 2 (orbit count at n=2 is not integral)
+        product-fix-consistency: FAIL at index 3 (orbit count at n=3 is not integral)
+        iterate-fix-consistency: FAIL at index 2 (orbit count at n=2 is not integral)
+        ttimest-series: FAIL at index 2 (orbit count at n=2 is not integral)
+        sp-zeta-product-series: FAIL at index 2 (orbit count at n=2 is not integral)
+        a035109-prefix: FAIL at index 2 (orbit count at n=2 is not integral)
+        ramanujan-series: FAIL at index 2 (orbit count at n=2 is not integral)
+        three-route-monoid: FAIL at index 2 (monoid count at n=2 is not integral)
+        euler-partitions: FAIL at index 2 (monoid count at n=2 is not integral)
+        golden-mean-monoid: FAIL at index 2 (monoid count at n=2 is not integral)
+        full-shift-monoid: FAIL at index 2 (monoid count at n=2 is not integral)
+        dual-rational-monoid: FAIL at index 2 (monoid count at n=2 is not integral)
+        localized-monoid: FAIL at index 2 (monoid count at n=2 is not integral)
+        s-integer-monoid: FAIL at index 2 (monoid count at n=2 is not integral)
+        oracle-count-fixed: FAIL at index 1 (count_fixed disagrees with orbit_to_fix)
+        oracle-product: FAIL at index 2 (orbit count at n=2 is not integral)
+        cyclic-subgroups: FAIL at index 2 (orbit count at n=2 is not integral)
+        primitive-lattices: FAIL at index 2 (orbit count at n=2 is not integral)
+        zeta-factorization: FAIL (found 0 pairs, expected 16)
+        three-smooth-factor: FAIL at index 2 (orbit count at n=2 is not integral)
+    """),
+    # the four kernels that exactly one identity catches
+    "dirichlet.div": (1, """
+        ttimest-series: FAIL at index 1 (division route disagrees with the product)
+    """),
+    "transforms.euler_inverse": (1, """
+        euler-roundtrip: FAIL at index 1 (euler_inverse(euler(o)) != o)
+    """),
+    "operators.union_orbits": (1, """
+        product-distributive: FAIL at index 1 (product does not distribute over union)
+    """),
+    "operators.iterate_fix": (1, """
+        iterate-fix-consistency: FAIL at index 2 (orbit count at n=2 is not integral)
+    """),
 }
+
+
+def _corrupt(monkeypatch, kernel, corruption):
+    """Patch the corrupted kernel into every orbitkit module whose attribute is the real one."""
+    module, attr = kernel.split(".")
+    real = getattr(importlib.import_module(f"orbitkit.{module}"), attr)
+
+    def plus_one(*args):
+        out = real(*args)
+        if corruption is None:
+            return out + 1
+        poly = isinstance(out, DirichletPoly)
+        values = out.coeffs if poly else out.terms
+        if len(values) >= corruption:
+            values = (*values[: corruption - 1], values[corruption - 1] + 1, *values[corruption:])
+        return DirichletPoly(values) if poly else Sequence(out.view, values)
+
+    fake = corruption(real) if callable(corruption) else plus_one
+    for name, loaded in list(sys.modules.items()):
+        if name.startswith("orbitkit") and getattr(loaded, attr, None) is real:
+            monkeypatch.setattr(loaded, attr, fake)
+
+
+@pytest.mark.parametrize("kernel", _KERNEL_FAULTS)
+def test_a_corrupted_kernel_fails_exactly_its_identities(monkeypatch, capsys, kernel):
+    corruption, lines = _KERNEL_FAULTS[kernel]
+    fails = dict(line.strip().split(": ", 1) for line in lines.strip().splitlines())
+    assert fails.keys() <= REGISTRY.keys()
+    _corrupt(monkeypatch, kernel, corruption)
+    assert main(["verify", "all"]) == 1
+    out = capsys.readouterr().out
+    assert out.splitlines() == [f"{name}: {fails.get(name, 'PASS')}" for name in REGISTRY]
 
 
 @pytest.mark.parametrize(
@@ -132,102 +219,6 @@ def test_expect_takes_generators():
     assert info.value.args == (3, "detail")
 
 
-def test_run_reports_a_failing_check(monkeypatch):
-    _euler_off_by_one_at_3(monkeypatch)
-    result = run("euler-partitions")
-    assert result.ok is False
-    assert result.failing_index == 3
-    assert result.detail == "partition prefix wrong"
-    result = run("euler-roundtrip")
-    assert (result.ok, result.failing_index) == (False, 3)
-    assert result.detail == "euler_inverse(euler(o)) != o"
-
-
-def test_verify_all_reports_every_failure(monkeypatch, capsys):
-    _euler_off_by_one_at_3(monkeypatch)
-    code = main(["verify", "all"])
-    out = capsys.readouterr().out
-    assert code == 1
-    expected = "".join(
-        f"{name}: FAIL{_EULER_AT_3_FAILURES[name]}\n"
-        if name in _EULER_AT_3_FAILURES
-        else f"{name}: PASS\n"
-        for name in REGISTRY
-    )
-    assert out == expected
-
-
-def test_a_wrong_phi_fails_cyclic_subgroups_and_nothing_else(monkeypatch, capsys):
-    # phi(n) + 1 breaks Gauss's sum_{d|m} phi(d) = m at m = 1, before the oracle divides by it
-    real = numtheory.euler_phi
-    for name, module in list(sys.modules.items()):
-        if name.startswith("orbitkit") and getattr(module, "euler_phi", None) is real:
-            monkeypatch.setattr(module, "euler_phi", lambda n: real(n) + 1)
-    code = main(["verify", "all"])
-    out = capsys.readouterr().out
-    assert code == 1
-    expected = "".join(
-        "cyclic-subgroups: FAIL at index 1 (divisor sum of phi is not n)\n"
-        if name == "cyclic-subgroups"
-        else f"{name}: PASS\n"
-        for name in REGISTRY
-    )
-    assert out == expected
-    assert len(out.splitlines()) == 51
-
-
-def test_wrong_product_term_is_reported_at_its_index(monkeypatch):
-    # product_orbits adds 1 to its second term; whole-sequence checks name index 2
-    real = operators.product_orbits
-
-    def wrong(u, v):
-        prod = real(u, v)
-        if len(prod) < 2:
-            return prod
-        return Sequence(prod.view, (prod.terms[0], prod.terms[1] + 1, *prod.terms[2:]))
-
-    monkeypatch.setattr(operators, "product_orbits", wrong)
-    expected = {
-        "product-identity": "delta is not the product identity",
-        "product-associative": "product is not associative",
-        "product-distributive": "product does not distribute over union",
-        "oracle-product": "exhaustive case u=(0, 0, 0), v=(0, 0, 0)",
-        "zeta-factorization": "pair does not multiply back to zeta",
-    }
-    for name, detail in expected.items():
-        assert run(name) == VerifyResult(name, False, 2, detail)
-
-
-# the identities a zeta(s - a) one too big at coefficient 4 breaks at default terms
-_ZETA_SHIFT_AT_4_FAILURES = {
-    "ttimest-series": "cleared-denominator identity fails",
-    "fix-series": "fix series identity fails",
-    "iterate-id2-series": "sparse form fails",
-    "iterate-idp-series": "sparse form fails for p=2",
-    "s-part-interpolation": "interpolation fails for S=(2,)",
-    "rational-a-series": "a_S identity fails for S=(2,)",
-    "sp-zeta-product-series": "closed form fails for P=(2,)",
-    "ramanujan-series": "series identity fails for (a,b)=(0,1)",
-    "mobius-series": "zeta * mu != delta",
-}
-
-
-def test_wrong_zeta_shift_coefficient_fails_every_series_identity_at_its_index(monkeypatch):
-    real = dirichlet.zeta_shift
-
-    def wrong(a, n_terms):
-        coeffs = list(real(a, n_terms))
-        if len(coeffs) >= 4:
-            coeffs[3] += 1
-        return dirichlet.DirichletPoly(coeffs)
-
-    monkeypatch.setattr(dirichlet, "zeta_shift", wrong)
-    results = [run(name) for name in REGISTRY]
-    failures = {r.name: (r.failing_index, r.detail) for r in results if not r.ok}
-    assert failures == {name: (4, detail) for name, detail in _ZETA_SHIFT_AT_4_FAILURES.items()}
-    assert len(results) - len(failures) == 42
-
-
 def test_zeta_factorization_limits_the_search_to_one_extra_pair(monkeypatch):
     # zeta to 10 terms has 2^pi(10) = 16 factor pairs: the search may find 17
     limits = []
@@ -242,33 +233,19 @@ def test_zeta_factorization_limits_the_search_to_one_extra_pair(monkeypatch):
 
 
 def test_failure_without_index(monkeypatch, capsys):
-    def always_fails(n):
-        raise Mismatch(None, "no index to give")
+    # run() and `verify NAME` report a check's Mismatch as it was raised, with or without an index
+    for index, detail, line in (
+        (None, "no index to give", "always-fails: FAIL (no index to give)"),
+        (3, "wrong from term 3", "always-fails: FAIL at index 3 (wrong from term 3)"),
+    ):
+        def always_fails(n, index=index, detail=detail):
+            raise Mismatch(index, detail)
 
-    ident = Identity("always-fails", 1, "fails without an index", always_fails)
-    monkeypatch.setitem(REGISTRY, ident.name, ident)
-    assert run(ident.name) == VerifyResult(ident.name, False, None, "no index to give")
-    assert main(["verify", ident.name]) == 1
-    assert capsys.readouterr().out == "always-fails: FAIL (no index to give)\n"
-
-
-def test_kernel_error_fails_its_identity_and_the_run_goes_on(monkeypatch, capsys):
-    # fixed-point counts with F(1) one too high are not realizable at n=2
-    real = transforms.orbit_to_fix
-
-    def wrong(o):
-        f = real(o)
-        return Sequence(f.view, (f.terms[0] + 1, *f.terms[1:]))
-
-    monkeypatch.setattr(transforms, "orbit_to_fix", wrong)
-    assert run("fix-orbit-roundtrip") == VerifyResult(
-        "fix-orbit-roundtrip", False, 2, "orbit count at n=2 is not integral"
-    )
-    code = main(["verify", "all"])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1
-    assert [line.split(": ")[0] for line in lines] == list(REGISTRY)
-    assert "euler-roundtrip: FAIL at index 2 (monoid count at n=2 is not integral)" in lines
+        ident = Identity("always-fails", 1, "fails with or without an index", always_fails)
+        monkeypatch.setitem(REGISTRY, ident.name, ident)
+        assert run(ident.name) == VerifyResult(ident.name, False, index, detail)
+        assert main(["verify", ident.name]) == 1
+        assert capsys.readouterr().out == line + "\n"
 
 
 @pytest.mark.parametrize("error", [RuntimeError("boom"), ValueError("boom")])

@@ -17,8 +17,6 @@ from orbitkit import (
     simulate_iterate,
     simulate_product,
 )
-from orbitkit import oracle
-from orbitkit.cli import main
 from orbitkit.oracle import monoid_by_partitions, product_by_lcm
 from orbitkit.sequences import delta, zeta
 from helpers import iterate_brute, product_brute, random_orbit
@@ -135,26 +133,6 @@ def test_simulate_iterate_matches_brute_below_the_horizon(k, data):
     o = Sequence(View.ORBIT, tuple(terms))
     m = data.draw(st.integers(min_value=1, max_value=len(o) // k))
     assert list(simulate_iterate(o, k, m)) == iterate_brute(o, k)[:m]
-
-
-def test_a_tracer_one_step_long_fails_exactly_the_oracle_simulations(monkeypatch, capsys):
-    real = oracle._trace
-
-    def long_by_one(d1, d2, s1, s2, weight, counts):
-        shorter = [0] * (len(counts) - 1)
-        real(d1, d2, s1, s2, weight, shorter)
-        for length, count in enumerate(shorter):
-            counts[length + 1] += count
-
-    monkeypatch.setattr(oracle, "_trace", long_by_one)
-    code = main(["verify", "all"])
-    lines = capsys.readouterr().out.splitlines()
-    assert code == 1
-    assert [line for line in lines if not line.endswith(": PASS")] == [
-        "oracle-product: FAIL at index 3 (exhaustive case u=(0, 0, 1), v=(0, 0, 1))",
-        "oracle-iterate: FAIL at index 1 (exhaustive case o=(1, 0, 0, 0, 0, 0), k=1)",
-    ]
-    assert len(lines) == 51
 
 
 def test_simulate_iterate_horizon_guard():
