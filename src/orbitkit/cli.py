@@ -79,11 +79,6 @@ def _read_values(path: Optional[str]) -> list[int]:
     return list(parse_bfile(text).values)
 
 
-def _check_terms(n_terms: Optional[int]) -> None:
-    if n_terms is not None:  # at most the length of any list
-        _require_int(n_terms, "--terms", most=sys.maxsize)
-
-
 def _read_sequence(path: Optional[str], view: View, n_terms: Optional[int] = None) -> Sequence:
     """Read a b-file, check all of it, then keep its first n_terms terms (all when None)."""
     values = _read_values(path)
@@ -108,7 +103,6 @@ def _write_bfile(values: Vector[int], start: int = 1) -> None:
 
 
 def _cmd_seq(args) -> int:
-    _check_terms(args.terms)
     seq = builtin(args.name, _parse_params(args.param), args.terms)
     if args.view is not None:
         seq = convert(seq, View(args.view))
@@ -143,20 +137,15 @@ def _cmd_op(args) -> int:
     if arity == 1:
         if args.k is None:
             raise ValueError("iterate requires --k")
-        _check_terms(n_terms)
-        _require_int(args.k, "--k")  # before --terms is multiplied by it
         n_terms, power = n_terms and args.k * n_terms, (args.k,)  # k input terms per output
     elif args.k is not None:
         raise ValueError("--k only applies to iterate")
-    else:
-        _check_terms(n_terms)
     inputs = [_read_sequence(path, View.ORBIT, n_terms) for path in args.infile]
     _write_bfile(fn(*inputs, *power).terms)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    _check_terms(args.terms)
     if args.list:
         for name, ident in REGISTRY.items():
             print(f"{name}: {ident.description} (default terms {ident.default_terms})")
@@ -180,9 +169,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_growth(args) -> int:
-    _check_terms(args.terms)
-    _require_rate(args.h, "--h")  # both rates before any term is built
-    _require_rate(args.c1, "--c1")
     orbits = convert(builtin(args.name, _parse_params(args.param), args.terms), View.ORBIT)
     report = pnt_report(orbits, args.h, args.c1, args.terms)
     for name, value in zip(report._fields, report):
@@ -191,8 +177,6 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_factor(args) -> int:
-    _require_int(args.limit, "--limit", most=sys.maxsize)  # before the input is read
-    _check_terms(args.terms)
     target = _read_sequence(args.infile, View.ORBIT, args.terms)
     if args.json:
         import json  # only this output needs it; the other commands start without it
@@ -235,6 +219,22 @@ def _cmd_export(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _integer(text: str):
+    """A b-file field's spelling makes an int; any other text is left for _require_int to name."""
+    return int(text) if _FIELD.fullmatch(text) else text
+
+
+def _check_flags(args) -> None:
+    """Each flag's one rule, in this order, before any command reads input or builds a term."""
+    for flag, least, most in (("limit", 1, sys.maxsize), ("terms", 1, sys.maxsize), ("k", 1, None),
+                              ("offset", None, None)):  # maxsize: islice's bound, longest list
+        if getattr(args, flag, None) is not None:
+            _require_int(getattr(args, flag), f"--{flag}", least, most)
+    for flag in ("h", "c1"):
+        if hasattr(args, flag):
+            _require_rate(getattr(args, flag), f"--{flag}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitkit",
@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help="builtin name: " + ", ".join(builtin_names()))
     p.add_argument("--param", action="append", default=[], metavar="K=V",
                    help="builtin parameter; prime sets use e.g. P=2,3 or P=~2,3 (cofinite)")
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=_integer, required=True)
     p.add_argument("--view", choices=[v.value for v in View], default=None,
                    help="convert to this view before printing")
     p.set_defaults(func=_cmd_seq)
@@ -260,14 +260,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("op", help="apply an operator to orbit-count b-files")
     p.add_argument("op", choices=list(_OPERATORS))
     p.add_argument("--in", dest="infile", action="append", default=[], metavar="FILE")
-    p.add_argument("--k", type=int, default=None, help="iteration power (iterate only)")
-    p.add_argument("--terms", type=int, default=None,
+    p.add_argument("--k", type=_integer, default=None, help="iteration power (iterate only)")
+    p.add_argument("--terms", type=_integer, default=None,
                    help="output length; inputs must carry enough terms")
     p.set_defaults(func=_cmd_op)
 
     p = sub.add_parser("verify", help="run a named identity (or 'all')")
     p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--terms", type=int, default=None,
+    p.add_argument("--terms", type=_integer, default=None,
                    help="override the identity's default term count")
     p.add_argument("--list", action="store_true", help="list identities and exit")
     p.set_defaults(func=_cmd_verify)
@@ -277,19 +277,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", default=[], metavar="K=V")
     p.add_argument("--h", type=float, required=True, help="exponential growth rate")
     p.add_argument("--c1", type=float, required=True, help="leading constant")
-    p.add_argument("--terms", type=int, required=True)
+    p.add_argument("--terms", type=_integer, required=True)
     p.set_defaults(func=_cmd_growth)
 
     p = sub.add_parser("factor", help="search for product factorizations of a b-file")
     p.add_argument("--in", dest="infile", default=None, metavar="FILE")
-    p.add_argument("--terms", type=int, default=None)
-    p.add_argument("--limit", type=int, default=10_000)
+    p.add_argument("--terms", type=_integer, default=None)
+    p.add_argument("--limit", type=_integer, default=10_000)
     p.add_argument("--json", action="store_true", help="emit a JSON envelope")
     p.set_defaults(func=_cmd_factor)
 
     p = sub.add_parser("export", help="re-emit a canonical b-file at another offset")
     p.add_argument("--in", dest="infile", default=None, metavar="FILE")
-    p.add_argument("--offset", type=int, required=True)
+    p.add_argument("--offset", type=_integer, required=True)
     p.set_defaults(func=_cmd_export)
 
     p = sub.add_parser("import", help="normalize a b-file to offset 1")
@@ -305,6 +305,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         sys.set_int_max_str_digits(0)  # exact terms may have any number of digits
     try:
         args = _build_parser().parse_args(argv)
+        _check_flags(args)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at shutdown
         return code

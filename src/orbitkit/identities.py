@@ -234,7 +234,7 @@ def _sp_mult(n: int) -> None:
     for s in sets:
         witness = transforms.is_multiplicative(s_p(s, n))
         if witness is not None:
-            raise Mismatch(None, f"s_P not multiplicative for {s}: witness {witness}")
+            raise Mismatch(math.prod(witness), f"s_P not multiplicative for {s}: witness {witness}")
 
 
 @identity("feigenbaum-sums", 1_024, "partial sums over dyadic blocks count the doublings")
@@ -312,7 +312,7 @@ def _product_mult(n: int) -> None:
     for u, v in _cases(404, 30, *[_multiplicative(n, 3)] * 2):
         witness = transforms.is_multiplicative(operators.product_orbits(u, v))
         if witness is not None:
-            raise Mismatch(None, f"product lost multiplicativity, witness {witness}")
+            raise Mismatch(math.prod(witness), f"product lost multiplicativity, witness {witness}")
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +685,7 @@ def _mertens_drift(n: int) -> None:
 def _pnt_ratio(n: int) -> None:
     top = max(n, 20)
     o = transforms.fix_to_orbit(full_shift(2, top))
-    points = [p for p in (20, 25, 30) if p <= top] or [top]
+    points = [p for p in (20, 25, 30) if p <= top]
     for p in points:
         report = asymptotics.pnt_report(o, math.log(2), 1.0, p)
         ratio = report.pi_actual / report.pi_predicted

@@ -14,11 +14,12 @@ from math import isqrt
 from typing import Iterable, Optional
 
 
-def _require_int(value: int, name: str, least: int = 1, most: Optional[int] = None) -> None:
-    """The one integer argument check: an int, not a bool, in least..most."""
+def _require_int(value: int, name: str, least: Optional[int] = 1,
+                 most: Optional[int] = None) -> None:
+    """The one integer argument check: an int, not a bool, in least..most (None: unbounded)."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
+    if least is not None and value < least:
         raise ValueError(f"{name} must be at least {least}, got {value}")
     if most is not None and value > most:
         raise ValueError(f"{name} must be at most {most}, got {value}")

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 import orbitkit
 from orbitkit.cli import main, parse_prime_set
 from orbitkit import PrimeSet, Sequence, View, format_bfile, product_orbits
-from orbitkit.sequences import id_orbits, zeta
+from orbitkit.identities import REGISTRY
+from orbitkit.sequences import builtin_names, id_orbits, zeta
 from helpers import factor_search_dfs, needs_digit_limit
 
 
@@ -24,6 +27,162 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# The exit-code contract, one invocation per row: the command line, stdin (None: one that fails
+# the row if read), and the exit code, stdout and stderr, each pinned exactly. Rows run in a
+# directory holding _FILES. A row whose stderr names a flag rule (`usage error: --flag must be`)
+# runs with no files and a cli.builtin that fails if called: main checks every flag before any
+# command reads input or builds a term. Of argparse's own errors, whose usage lines differ
+# between Python versions, the last line of stderr is pinned.
+_FILES = {
+    "s3.b": "1 1\n2 1\n3 1\n",
+    "six.b": "1 1\n2 1\n3 1\n4 1\n5 1\n6 1\n",
+    "neg3.b": "1 1\n2 1\n3 -5\n",  # negative past the first two terms
+    "fix2.b": "1 1\n2 2\n",  # fixed-point counts that no map has
+    "x.b": "1 x\n",
+    "accent.b": "1 1\n2 \u00e9\n",
+}
+_MAX = sys.maxsize
+_TWO_IN = ("op product --in s3.b --in s3.b", "op union --in s3.b --in s3.b")
+_BUILTIN_TERMS = ("seq zeta", "growth --name zeta --h 1 --c1 1")
+
+
+def _row(command, code, err, out="", stdin=None):
+    name = command if stdin is None else f"{command} < {stdin}"
+    return pytest.param(shlex.split(command), stdin, code, out, err and err + "\n",
+                        id=name or "no command")
+
+
+def _rates(flag, value):
+    return " ".join(f"{f}={value if f == flag else 1}" for f in ("--h", "--c1"))
+
+
+_ROWS = [
+    # flag rules, in main's order: --limit, --terms, --k, --h, --c1
+    *(_row(f"factor --limit {n}", 2, f"usage error: --limit must be at least 1, got {n}")
+      for n in (0, -1)),
+    *(_row(f"factor --limit {_MAX + 1}{extra}", 2,
+           f"usage error: --limit must be at most {_MAX}, got {_MAX + 1}")
+      for extra in ("", " --json")),
+    *(_row(f"{cmd} --terms 0", 2, "usage error: --terms must be at least 1, got 0")
+      for cmd in (*_BUILTIN_TERMS, "verify all", "verify no-such-identity", "verify --list")),
+    *(_row(f"{cmd} --terms {t}", 2, f"usage error: --terms must be at least 1, got {t}")
+      for cmd in (*_TWO_IN, "factor --in s3.b", "op iterate --k 2 --in s3.b") for t in (-1, 0)),
+    *(_row(f"{cmd} --terms {t}", 2, f"usage error: --terms must be at most {_MAX}, got {t}")
+      for cmd in (*_BUILTIN_TERMS, "verify zeta-ones") for t in (_MAX + 1, 10**20 - 1)),
+    *(_row(f"op iterate --in six.b --k {k} --terms {t}", 2,
+           f"usage error: --k must be at least 1, got {k}") for k, t in ((0, 2), (-1, 100))),
+    *(_row(f"growth --name zeta --terms 5 {_rates(flag, v)}", 2,
+           f"usage error: {flag} must be positive and finite, got {float(v)}")
+      for flag in ("--h", "--c1") for v in ("inf", "-inf", "nan")),
+    *(_row(f"growth --name full_shift --param a=2 --terms 40000 {_rates(flag, v)}", 2,
+           f"usage error: {flag} must be positive and finite, got {float(v)}")
+      for flag, v in (("--c1", "-1"), ("--c1", "nan"), ("--h", "inf"), ("--h", "-inf"))),
+    _row("growth --name zeta --h 0 --c1 1.0 --terms 5", 2,
+         "usage error: --h must be positive and finite, got 0.0"),
+    # of two bad values, the first in that order is named
+    _row("factor --limit 0 --terms 0", 2, "usage error: --limit must be at least 1, got 0"),
+    _row("op iterate --in s3.b --k 0 --terms 0", 2,
+         "usage error: --terms must be at least 1, got 0"),
+    _row("growth --name zeta --h 0 --c1 0 --terms 0", 2,
+         "usage error: --terms must be at least 1, got 0"),
+    _row("growth --name zeta --h 0 --c1 0 --terms 5", 2,
+         "usage error: --h must be positive and finite, got 0.0"),
+    # a bad flag value is named before a misused or missing flag
+    _row("op iterate --in s3.b --terms 0", 2, "usage error: --terms must be at least 1, got 0"),
+    _row("op product --in s3.b --terms 0", 2, "usage error: --terms must be at least 1, got 0"),
+    _row("op product --in s3.b --k 0", 2, "usage error: --k must be at least 1, got 0"),
+    _row("op iterate --in s3.b --in s3.b --k 0", 2, "usage error: --k must be at least 1, got 0"),
+    # integer flags are spelled as b-file fields, -?[0-9]+
+    *(_row(f"{cmd} {flag} {shlex.quote(v)}", 2,
+           f"usage error: {flag} must be an integer, got {v!r}")
+      for cmd, flag, v in (("seq zeta", "--terms", "1_0"), ("seq zeta", "--terms", "\u0663"),
+                           ("verify zeta-ones", "--terms", " 3"),
+                           ("op iterate --in s3.b", "--k", "+2"), ("factor", "--limit", "1e3"),
+                           ("export --in s3.b", "--offset", "+1"))),
+    # builtins and their parameters
+    _row("seq nope --terms 4", 2,
+         f"usage error: unknown builtin 'nope'; known: {', '.join(builtin_names())}"),
+    *(_row(f"seq s_P --param P={v} --terms 3", 2, f"usage error: {v} is not prime")
+      for v in (1, 0, -3)),
+    *(_row(f"seq {params} --terms 2", 2, f"usage error: {message}") for params, message in (
+        ("geometric --param p=1_0", "parameter p must be an integer, got '1_0'"),
+        ("geometric --param 'p= 2'", "parameter p must be an integer, got ' 2'"),
+        ("geometric --param p=+2", "parameter p must be an integer, got '+2'"),
+        ("geometric --param p=\u0663", "parameter p must be an integer, got '\u0663'"),
+        ("s_P --param P=+3", "bad prime set '+3': entries must be integers"),
+        ("s_P --param P=\u0663", "bad prime set '\u0663': entries must be integers"),
+        ("s_P --param 'P=2, 3'", "bad prime set '2, 3': entries must be integers"),
+        ("s_P --param P=2,", "bad prime set '2,': entries must be integers"),
+        ("full_shift --param a=2 --param a=3", "parameter a given more than once"),
+        ("dual_rational --param a=1 --param b=2 --param a=3", "parameter a given more than once"),
+        ("s_P --param P=2 --param P=3", "parameter P given more than once"),
+        ("s_P --param P", "--param expects key=value, got 'P'"),
+    )),
+    # op: the number of inputs and --k, then the whole input, then its prefix
+    _row("op iterate --in s3.b", 2, "usage error: iterate requires --k"),
+    _row("op product --in s3.b", 2, "usage error: product takes exactly two --in"),
+    _row("op iterate --k 2 --in s3.b --in s3.b", 2, "usage error: iterate takes exactly one --in"),
+    _row("op product --k 2 --in s3.b --in s3.b", 2, "usage error: --k only applies to iterate"),
+    _row("op product --in s3.b --in s3.b --terms 5", 2,
+         "usage error: input has 3 terms but 5 were requested"),
+    # k input terms per output term, even where k times --terms is past an index
+    *(_row(f"op iterate --in six.b --k 2 --terms {t}", 2,
+           f"usage error: input has 6 terms but {2 * t} were requested") for t in (4, _MAX)),
+    *(_row(f"{cmd} --terms 2", 3, "input error: term 3 is negative: -5")
+      for cmd in ("factor --in neg3.b", "op product --in neg3.b --in neg3.b",
+                  "op union --in neg3.b --in neg3.b", "op iterate --k 1 --in neg3.b")),
+    # input: malformed (3), unreadable (2) or not realizable (1)
+    *(_row(f"{cmd} --in neg3.b", 3, "input error: term 3 is negative: -5") for cmd in (
+        "transform orbit-to-fix", "transform fix-to-orbit", "transform euler-inv", "factor")),
+    _row("transform euler --in x.b", 3, "input error: line 1: non-integer field in '1 x'"),
+    _row("transform euler --in nope.b", 2,
+         "usage error: [Errno 2] No such file or directory: 'nope.b'"),
+    _row("transform fix-to-orbit --in fix2.b", 1,
+         "verification failure: orbit count at n=2 is not integral"),
+    _row("transform orbit-to-fix --in accent.b", 3, "input error: byte 6: input is not ASCII"),
+    # stdin arrives as text, checked line by line
+    *(_row(cmd, 3, f"input error: line {n}: non-integer field in {line!r}", stdin=text)
+      for cmd, text, n, line in (("transform orbit-to-fix", "1 1\n2 \u00e9\n", 2, "2 \u00e9"),
+                                 ("import", "1 1_000\n", 1, "1 1_000"),
+                                 ("import", "1 1\n2 +4\n", 2, "2 +4"),
+                                 ("import", "1 1\n2 \u0663\n", 2, "2 \u0663"))),
+    # verify
+    _row("verify fictional", 2,
+         f"usage error: unknown identity 'fictional'; known: {', '.join(REGISTRY)}"),
+    _row("verify", 2, "usage error: verify needs an identity name, 'all', or --list"),
+    _row("verify --list", 0, "", out="".join(
+        f"{name}: {ident.description} (default terms {ident.default_terms})\n"
+        for name, ident in REGISTRY.items())),
+    # argparse's own errors
+    _row("seq", 2, "orbitkit seq: error: the following arguments are required: name, --terms"),
+    _row("", 2, "orbitkit: error: the following arguments are required: command"),
+]
+
+
+class _Unread(io.StringIO):
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+
+def _unbuilt(*args):
+    raise AssertionError("a builtin was built")
+
+
+@pytest.mark.parametrize("argv, stdin, code, out, err", _ROWS)
+def test_contract(capsys, monkeypatch, tmp_path, argv, stdin, code, out, err):
+    if re.match(r"usage error: --\w+ must be ", err):
+        monkeypatch.setattr("orbitkit.cli.builtin", _unbuilt)
+    else:
+        for name, text in _FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("sys.stdin", _Unread() if stdin is None else io.StringIO(stdin))
+    got = run_cli(capsys, *argv)
+    if err.startswith("orbitkit"):
+        got = (*got[:2], got[2].splitlines(keepends=True)[-1])
+    assert got == (code, out, err)
 
 
 def test_seq_golden_mean_monoid(capsys):
@@ -67,12 +226,6 @@ def test_seq_a_s_view(capsys):
     assert "pi_actual 16\n" in out
 
 
-def test_seq_unknown_builtin(capsys):
-    code, _, err = run_cli(capsys, "seq", "nope", "--terms", "4")
-    assert code == 2
-    assert "unknown builtin" in err
-
-
 def test_prime_set_syntax():
     assert parse_prime_set("2,3") == PrimeSet.finite((2, 3))
     assert parse_prime_set("") == PrimeSet.finite()
@@ -88,60 +241,12 @@ def test_seq_prime_set_param(capsys):
     assert out == "1 1\n2 1\n3 1\n4 1\n5 0\n6 1\n"
 
 
-@pytest.mark.parametrize("value", ["1", "0", "-3"])
-def test_seq_prime_set_names_a_non_prime(capsys, value):
-    code, out, err = run_cli(capsys, "seq", "s_P", "--param", f"P={value}", "--terms", "3")
-    assert (code, out, err) == (2, "", f"usage error: {value} is not prime\n")
-
-
-@pytest.mark.parametrize("argv, message", [
-    (("geometric", "--param", "p=1_0"), "parameter p must be an integer, got '1_0'"),
-    (("geometric", "--param", "p= 2"), "parameter p must be an integer, got ' 2'"),
-    (("geometric", "--param", "p=+2"), "parameter p must be an integer, got '+2'"),
-    (("geometric", "--param", "p=\u0663"), "parameter p must be an integer"),
-    (("s_P", "--param", "P=+3"), "bad prime set '+3'"),
-    (("s_P", "--param", "P=\u0663"), "bad prime set"),
-    (("s_P", "--param", "P=2, 3"), "bad prime set '2, 3'"),
-    (("s_P", "--param", "P=2,"), "bad prime set '2,'"),
-    (("full_shift", "--param", "a=2", "--param", "a=3"), "parameter a given more than once"),
-    (("dual_rational", "--param", "a=1", "--param", "b=2", "--param", "a=3"),
-     "parameter a given more than once"),
-    (("s_P", "--param", "P=2", "--param", "P=3"), "parameter P given more than once"),
-    (("s_P", "--param", "P"), "--param expects key=value, got 'P'"),
-])
-def test_seq_params_are_plain_integers_given_once(capsys, argv, message):
-    code, out, err = run_cli(capsys, "seq", *argv, "--terms", "2")
-    assert (code, out) == (2, "")
-    assert err.startswith("usage error: ") and message in err
-
-
 def test_transform_pipeline(capsys, tmp_path):
     fix_file = tmp_path / "fix.b"
     fix_file.write_text("1 1\n2 3\n3 4\n4 7\n", encoding="ascii")
     code, out, _ = run_cli(capsys, "transform", "fix-to-orbit", "--in", str(fix_file))
     assert code == 0
     assert out == "1 1\n2 1\n3 1\n4 1\n"
-
-
-def test_transform_not_realizable(capsys, tmp_path):
-    f = tmp_path / "bad.b"
-    f.write_text("1 1\n2 2\n", encoding="ascii")
-    code, _, err = run_cli(capsys, "transform", "fix-to-orbit", "--in", str(f))
-    assert code == 1
-    assert "2" in err
-
-
-def test_transform_bad_format(capsys, tmp_path):
-    f = tmp_path / "bad.b"
-    f.write_text("1 x\n", encoding="ascii")
-    code, _, err = run_cli(capsys, "transform", "euler", "--in", str(f))
-    assert code == 3
-    assert "line 1" in err
-
-
-def test_transform_missing_file(capsys, tmp_path):
-    code, _, err = run_cli(capsys, "transform", "euler", "--in", str(tmp_path / "nope.b"))
-    assert code == 2
 
 
 def test_op_product_zeta(capsys, tmp_path):
@@ -164,125 +269,10 @@ def test_op_iterate(capsys, tmp_path):
     assert values == [5, 8, 15, 16, 25, 24, 35, 32]
 
 
-def test_op_iterate_requires_k(capsys, tmp_path):
-    f = tmp_path / "a.b"
-    f.write_text("1 1\n2 1\n", encoding="ascii")
-    code, _, err = run_cli(capsys, "op", "iterate", "--in", str(f))
-    assert code == 2
-    assert "--k" in err
-
-
-@pytest.mark.parametrize("k, terms", [("0", "2"), ("-1", "100")])
-def test_op_iterate_names_a_bad_power_before_the_terms(capsys, tmp_path, k, terms):
-    f = tmp_path / "z6.b"
-    f.write_text("".join(f"{n} 1\n" for n in range(1, 7)), encoding="ascii")
-    code, out, err = run_cli(capsys, "op", "iterate", "--in", str(f), "--k", k, "--terms", terms)
-    assert (code, out) == (2, "")
-    assert err == f"usage error: --k must be at least 1, got {k}\n"
-
-
-def test_op_product_needs_two_inputs(capsys, tmp_path):
-    f = tmp_path / "a.b"
-    f.write_text("1 1\n", encoding="ascii")
-    code, _, err = run_cli(capsys, "op", "product", "--in", str(f))
-    assert code == 2
-
-
-def test_op_terms_longer_than_input(capsys, tmp_path):
-    f = tmp_path / "a.b"
-    f.write_text("1 1\n2 1\n", encoding="ascii")
-    code, _, err = run_cli(
-        capsys, "op", "product", "--in", str(f), "--in", str(f), "--terms", "5"
-    )
-    assert code == 2
-    assert "requested" in err
-
-
-@pytest.mark.parametrize(
-    "argv", [("factor",), ("op", "product"), ("op", "union"), ("op", "iterate", "--k", "1")]
-)
-def test_whole_input_is_checked_before_terms_are_taken(capsys, tmp_path, argv):
-    # the negative term lies past the two terms asked for
-    f = tmp_path / "neg3.b"
-    f.write_text("1 1\n2 1\n3 -5\n", encoding="ascii")
-    inputs = ["--in", str(f)] * (2 if argv[-1] in ("product", "union") else 1)
-    code, out, err = run_cli(capsys, *argv, *inputs, "--terms", "2")
-    assert (code, out, err) == (3, "", "input error: term 3 is negative: -5\n")
-
-
-def test_op_iterate_short_input_names_the_terms_requested(capsys, tmp_path):
-    f = tmp_path / "six.b"
-    f.write_text("".join(f"{n} {n}\n" for n in range(1, 7)), encoding="ascii")
-    code, out, err = run_cli(capsys, "op", "iterate", "--in", str(f), "--k", "2", "--terms", "4")
-    assert (code, out) == (2, "")
-    assert err == "usage error: input has 6 terms but 8 were requested\n"
-    # --terms fits an index, k times it does not: still the terms requested
-    code, out, err = run_cli(capsys, "op", "iterate", "--in", str(f), "--k", "2",
-                             "--terms", str(sys.maxsize))
-    assert (code, out) == (2, "")
-    assert err == f"usage error: input has 6 terms but {2 * sys.maxsize} were requested\n"
-
-
-@pytest.mark.parametrize("argv, message", [
-    (("iterate", "--k", "2"), "iterate takes exactly one --in"),
-    (("product", "--k", "2"), "--k only applies to iterate"),
-])
-def test_op_names_a_misused_flag(capsys, tmp_path, argv, message):
-    f = tmp_path / "s3.b"
-    f.write_text("1 1\n2 1\n3 1\n", encoding="ascii")
-    code, out, err = run_cli(capsys, "op", *argv, "--in", str(f), "--in", str(f))
-    assert (code, out, err) == (2, "", f"usage error: {message}\n")
-
-
 def test_verify_pass(capsys):
     code, out, _ = run_cli(capsys, "verify", "ttimest-series", "--terms", "200")
     assert code == 0
     assert out == "ttimest-series: PASS\n"
-
-
-def test_verify_unknown(capsys):
-    code, _, err = run_cli(capsys, "verify", "fictional")
-    assert code == 2
-    assert "unknown identity" in err
-
-
-def test_verify_list(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--list")
-    assert code == 0
-    assert "ttimest-series:" in out
-    assert "default terms" in out
-
-
-@pytest.mark.parametrize("argv", [
-    ("seq", "zeta"),
-    ("growth", "--name", "zeta", "--h", "1", "--c1", "1"),
-])
-def test_builtin_commands_name_terms_below_one(capsys, argv):
-    code, out, err = run_cli(capsys, *argv, "--terms", "0")
-    assert (code, out, err) == (2, "", "usage error: --terms must be at least 1, got 0\n")
-
-
-@pytest.mark.parametrize("argv", [("all",), ("no-such-identity",), ("--list",)])
-def test_verify_checks_terms_first(capsys, argv):
-    code, out, err = run_cli(capsys, "verify", *argv, "--terms", "0")
-    assert (code, out, err) == (2, "", "usage error: --terms must be at least 1, got 0\n")
-
-
-@pytest.mark.parametrize("terms", [sys.maxsize + 1, 99999999999999999999])
-@pytest.mark.parametrize("argv", [
-    ("seq", "zeta"),
-    ("growth", "--name", "zeta", "--h", "1", "--c1", "1"),
-    ("verify", "zeta-ones"),
-])
-def test_terms_past_an_index_is_usage_error(capsys, argv, terms):
-    code, out, err = run_cli(capsys, *argv, "--terms", str(terms))
-    message = f"usage error: --terms must be at most {sys.maxsize}, got {terms}\n"
-    assert (code, out, err) == (2, "", message)
-
-
-def test_verify_requires_name(capsys):
-    code, _, err = run_cli(capsys, "verify")
-    assert code == 2
 
 
 def test_verify_all_smoke(capsys):
@@ -339,45 +329,6 @@ def test_growth_past_the_float_range(capsys, h, terms):
     assert float(lines["pi_predicted"]) == pytest.approx(expected, rel=1e-9)
     if h == "0.01":
         assert lines["mertens_actual"] == "inf"
-
-
-@pytest.mark.parametrize("flag", ["--h", "--c1"])
-@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-def test_growth_rejects_non_finite_parameters(capsys, flag, value):
-    given = {"--h": "1", "--c1": "1", flag: value}
-    code, out, err = run_cli(
-        capsys, "growth", "--name", "zeta", "--terms", "5", *(f"{k}={v}" for k, v in given.items())
-    )
-    assert (code, out) == (2, "")
-    assert err.startswith("usage error: ")
-
-
-def test_growth_rejects_nonpositive_h(capsys):
-    code, _, err = run_cli(
-        capsys, "growth", "--name", "zeta", "--h", "0", "--c1", "1.0", "--terms", "5"
-    )
-    assert code == 2
-    assert "positive" in err
-
-
-@pytest.mark.parametrize(
-    "flag, value", [("--c1", "-1"), ("--c1", "nan"), ("--h", "inf"), ("--h", "-inf")]
-)
-def test_growth_checks_both_rates_before_building_the_sequence(capsys, monkeypatch, flag, value):
-    calls = []
-
-    def builtin(*args):
-        calls.append(args)
-        raise AssertionError("the sequence was built before the rates were checked")
-
-    monkeypatch.setattr("orbitkit.cli.builtin", builtin)
-    given = {"--h": "1", "--c1": "1", flag: value}
-    code, out, err = run_cli(
-        capsys, "growth", "--name", "full_shift", "--param", "a=2", "--terms", "40000",
-        *(f"{k}={v}" for k, v in given.items()),
-    )
-    assert (code, out, calls) == (2, "", [])
-    assert err == f"usage error: {flag} must be positive and finite, got {float(value)}\n"
 
 
 def test_factor_text_output(capsys, tmp_path):
@@ -469,23 +420,6 @@ def test_factor_text_memory_follows_blocks(tmp_path):
         assert sum(1 for _ in fh) == 10_000
 
 
-@pytest.mark.parametrize("limit", ["0", "-1"])
-def test_factor_checks_limit_before_reading(capsys, monkeypatch, limit):
-    monkeypatch.setattr("sys.stdin", io.StringIO("1 x\n"))
-    code, out, err = run_cli(capsys, "factor", "--limit", limit)
-    assert (code, out, err) == (2, "", f"usage error: --limit must be at least 1, got {limit}\n")
-
-
-@pytest.mark.parametrize("json_flag", [(), ("--json",)])
-def test_factor_limit_past_an_index_is_usage_error(capsys, monkeypatch, json_flag):
-    # the search stops through islice, which takes at most sys.maxsize: checked before any output
-    monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n2 1\n"))
-    limit = sys.maxsize + 1
-    code, out, err = run_cli(capsys, "factor", "--limit", str(limit), *json_flag)
-    assert (code, out) == (2, "")
-    assert err == f"usage error: --limit must be at most {sys.maxsize}, got {limit}\n"
-
-
 def test_export_import_roundtrip(capsys, tmp_path):
     f = tmp_path / "seq.b"
     f.write_text("1 4\n2 5\n3 6\n", encoding="ascii")
@@ -510,61 +444,6 @@ def test_deterministic_output(capsys):
     first = run_cli(capsys, "verify", "three-route-monoid")
     second = run_cli(capsys, "verify", "three-route-monoid")
     assert first == second
-
-
-def test_usage_error_exit_code(capsys):
-    assert main(["seq"]) == 2  # missing required --terms
-    capsys.readouterr()
-    assert main([]) == 2
-    capsys.readouterr()
-
-
-def test_non_ascii_input_is_malformed(capsys, tmp_path, monkeypatch):
-    f = tmp_path / "accent.b"
-    f.write_bytes("1 1\n2 \u00e9\n".encode("utf-8"))
-    code, _, err = run_cli(capsys, "transform", "orbit-to-fix", "--in", str(f))
-    assert code == 3
-    assert "not ASCII" in err
-    monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n2 \u00e9\n"))
-    code, _, _ = run_cli(capsys, "transform", "orbit-to-fix")
-    assert code == 3
-
-
-@pytest.mark.parametrize("terms", ["-1", "0"])
-@pytest.mark.parametrize(
-    "argv", [("op", "product"), ("op", "union"), ("factor",), ("op", "iterate", "--k", "2")]
-)
-def test_terms_below_one_is_usage_error(capsys, tmp_path, argv, terms):
-    f = tmp_path / "s3.b"
-    f.write_text("1 1\n2 1\n3 1\n", encoding="ascii")
-    inputs = ["--in", str(f)] * (2 if argv[-1] in ("product", "union") else 1)
-    code, out, err = run_cli(capsys, *argv, *inputs, "--terms", terms)
-    assert code == 2
-    assert out == ""
-    assert "--terms" in err
-
-
-@pytest.mark.parametrize("text", ["1 1_000\n", "1 1\n2 +4\n", "1 1\n2 \u0663\n"])
-def test_import_rejects_non_canonical_fields(capsys, monkeypatch, text):
-    monkeypatch.setattr("sys.stdin", io.StringIO(text))
-    code, out, err = run_cli(capsys, "import")
-    assert code == 3
-    assert out == ""
-    assert "non-integer field" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ("transform", "orbit-to-fix"),
-    ("transform", "fix-to-orbit"),
-    ("transform", "euler-inv"),
-    ("factor",),
-])
-def test_negative_term_is_malformed(capsys, tmp_path, argv):
-    f = tmp_path / "neg.b"
-    f.write_text("1 1\n2 -1\n", encoding="ascii")
-    code, _, err = run_cli(capsys, *argv, "--in", str(f))
-    assert code == 3
-    assert "negative" in err
 
 
 def test_unexpected_exception_is_internal_error(capsys, monkeypatch):

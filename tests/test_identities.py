@@ -95,7 +95,7 @@ _KERNEL_FAULTS = {
         oracle-iterate: FAIL at index 1 (exhaustive case o=(1, 0, 0, 0, 0, 0), k=1)
     """),
     "operators.product_orbits": (2, """
-        product-multiplicative: FAIL (product lost multiplicativity, witness (2, 3))
+        product-multiplicative: FAIL at index 6 (product lost multiplicativity, witness (2, 3))
         product-identity: FAIL at index 2 (delta is not the product identity)
         product-associative: FAIL at index 2 (product is not associative)
         product-distributive: FAIL at index 2 (product does not distribute over union)
@@ -140,6 +140,14 @@ _KERNEL_FAULTS = {
         primitive-lattices: FAIL at index 2 (orbit count at n=2 is not integral)
         zeta-factorization: FAIL (found 0 pairs, expected 16)
         three-smooth-factor: FAIL at index 2 (orbit count at n=2 is not integral)
+    """),
+    "sequences.s_p": (6, """
+        zeta-ones: FAIL at index 6 (s_P with no primes is not zeta)
+        sp-multiplicative: FAIL at index 6 (s_P not multiplicative for PrimeSet(cofinite=False, primes=()): witness (2, 3))
+        sp-iterate-closed-form: FAIL at index 6 (closed form fails for P=(), k=1)
+        sp-zeta-product-series: FAIL at index 6 (closed form fails for P=(2,))
+        a035109-prefix: FAIL at index 6 (prefix wrong)
+        zeta-factorization: FAIL at index 6 (left factor is not a prime-set indicator)
     """),
     # the four kernels that exactly one identity catches
     "dirichlet.div": (1, """
