@@ -29,9 +29,9 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-# The exit-code contract, one invocation per row: the command line, stdin (None: one that fails
-# the row if read), and the exit code, stdout and stderr, each pinned exactly. Rows run in a
-# directory holding _FILES. A row whose stderr names a flag rule (`usage error: --flag must be`)
+# The exit-code contract, one invocation per check: the command line, stdin (None: one that fails
+# the check if read), and the exit code, stdout and stderr, each pinned exactly. Commands run in a
+# directory holding _FILES. A check whose stderr names a flag rule (`usage error: --flag must be`)
 # runs with no files and a cli.builtin that fails if called: main checks every flag before any
 # command reads input or builds a term. Of argparse's own errors, whose usage lines differ
 # between Python versions, the last line of stderr is pinned.
@@ -44,43 +44,122 @@ _FILES = {
     "accent.b": "1 1\n2 \u00e9\n",
 }
 _MAX = sys.maxsize
-_TWO_IN = ("op product --in s3.b --in s3.b", "op union --in s3.b --in s3.b")
-_BUILTIN_TERMS = ("seq zeta", "growth --name zeta --h 1 --c1 1")
 
 
-def _row(command, code, err, out="", stdin=None):
-    name = command if stdin is None else f"{command} < {stdin}"
-    return pytest.param(shlex.split(command), stdin, code, out, err and err + "\n",
-                        id=name or "no command")
+class _Unread(io.StringIO):
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+
+def _unbuilt(*args):
+    raise AssertionError("a builtin was built")
+
+
+@pytest.fixture
+def expect(capsys, monkeypatch, tmp_path):
+    def check(command, code, err, out="", stdin=None):
+        err = err and err + "\n"
+        if re.match(r"usage error: --\w+ must be ", err):
+            monkeypatch.setattr("orbitkit.cli.builtin", _unbuilt)
+        else:
+            for name, text in _FILES.items():
+                (tmp_path / name).write_text(text, encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr("sys.stdin", _Unread() if stdin is None else io.StringIO(stdin))
+        got = run_cli(capsys, *shlex.split(command))
+        if err.startswith("orbitkit"):
+            got = (*got[:2], got[2].splitlines(keepends=True)[-1])
+        assert got == (code, out, err)
+    return check
 
 
 def _rates(flag, value):
     return " ".join(f"{f}={value if f == flag else 1}" for f in ("--h", "--c1"))
 
 
-_ROWS = [
-    # flag rules, in main's order: --limit, --terms, --k, --h, --c1
-    *(_row(f"factor --limit {n}", 2, f"usage error: --limit must be at least 1, got {n}")
-      for n in (0, -1)),
-    *(_row(f"factor --limit {_MAX + 1}{extra}", 2,
+# flag rules, in main's order: --limit, --terms, --k, --h, --c1
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_factor_checks_limit_before_reading(expect, limit):
+    expect(f"factor --limit {limit}", 2, f"usage error: --limit must be at least 1, got {limit}")
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+def test_factor_limit_past_an_index_is_usage_error(expect, json_flag):
+    expect(" ".join(("factor", "--limit", str(_MAX + 1), *json_flag)), 2,
            f"usage error: --limit must be at most {_MAX}, got {_MAX + 1}")
-      for extra in ("", " --json")),
-    *(_row(f"{cmd} --terms 0", 2, "usage error: --terms must be at least 1, got 0")
-      for cmd in (*_BUILTIN_TERMS, "verify all", "verify no-such-identity", "verify --list")),
-    *(_row(f"{cmd} --terms {t}", 2, f"usage error: --terms must be at least 1, got {t}")
-      for cmd in (*_TWO_IN, "factor --in s3.b", "op iterate --k 2 --in s3.b") for t in (-1, 0)),
-    *(_row(f"{cmd} --terms {t}", 2, f"usage error: --terms must be at most {_MAX}, got {t}")
-      for cmd in (*_BUILTIN_TERMS, "verify zeta-ones") for t in (_MAX + 1, 10**20 - 1)),
-    *(_row(f"op iterate --in six.b --k {k} --terms {t}", 2,
-           f"usage error: --k must be at least 1, got {k}") for k, t in ((0, 2), (-1, 100))),
-    *(_row(f"growth --name zeta --terms 5 {_rates(flag, v)}", 2,
-           f"usage error: {flag} must be positive and finite, got {float(v)}")
-      for flag in ("--h", "--c1") for v in ("inf", "-inf", "nan")),
-    *(_row(f"growth --name full_shift --param a=2 --terms 40000 {_rates(flag, v)}", 2,
-           f"usage error: {flag} must be positive and finite, got {float(v)}")
-      for flag, v in (("--c1", "-1"), ("--c1", "nan"), ("--h", "inf"), ("--h", "-inf"))),
-    _row("growth --name zeta --h 0 --c1 1.0 --terms 5", 2,
-         "usage error: --h must be positive and finite, got 0.0"),
+
+
+@pytest.mark.parametrize("argv", [
+    ("seq", "zeta"),
+    ("growth", "--name", "zeta", "--h", "1", "--c1", "1"),
+])
+def test_builtin_commands_name_terms_below_one(expect, argv):
+    expect(" ".join(argv) + " --terms 0", 2, "usage error: --terms must be at least 1, got 0")
+
+
+@pytest.mark.parametrize("argv", [("all",), ("no-such-identity",), ("--list",)])
+def test_verify_checks_terms_first(expect, argv):
+    expect(f"verify {argv[0]} --terms 0", 2, "usage error: --terms must be at least 1, got 0")
+
+
+@pytest.mark.parametrize("terms", ["-1", "0"])
+@pytest.mark.parametrize(
+    "argv", [("op", "product"), ("op", "union"), ("factor",), ("op", "iterate", "--k", "2")]
+)
+def test_terms_below_one_is_usage_error(expect, argv, terms):
+    inputs = " --in s3.b" * (2 if argv[-1] in ("product", "union") else 1)
+    expect(" ".join(argv) + f"{inputs} --terms {terms}", 2,
+           f"usage error: --terms must be at least 1, got {terms}")
+
+
+@pytest.mark.parametrize("terms", [_MAX + 1, 99999999999999999999])
+@pytest.mark.parametrize("argv", [
+    ("seq", "zeta"),
+    ("growth", "--name", "zeta", "--h", "1", "--c1", "1"),
+    ("verify", "zeta-ones"),
+])
+def test_terms_past_an_index_is_usage_error(expect, argv, terms):
+    expect(" ".join(argv) + f" --terms {terms}", 2,
+           f"usage error: --terms must be at most {_MAX}, got {terms}")
+
+
+@pytest.mark.parametrize("k, terms", [("0", "2"), ("-1", "100")])
+def test_op_iterate_names_a_bad_power_before_the_terms(expect, k, terms):
+    expect(f"op iterate --in six.b --k {k} --terms {terms}", 2,
+           f"usage error: --k must be at least 1, got {k}")
+
+
+@pytest.mark.parametrize("flag", ["--h", "--c1"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_growth_rejects_non_finite_parameters(expect, flag, value):
+    expect(f"growth --name zeta --terms 5 {_rates(flag, value)}", 2,
+           f"usage error: {flag} must be positive and finite, got {float(value)}")
+
+
+def test_growth_rejects_nonpositive_h(expect):
+    expect("growth --name zeta --h 0 --c1 1.0 --terms 5", 2,
+           "usage error: --h must be positive and finite, got 0.0")
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--c1", "-1"), ("--c1", "nan"), ("--h", "inf"), ("--h", "-inf")]
+)
+def test_growth_checks_both_rates_before_building_the_sequence(expect, flag, value):
+    expect(f"growth --name full_shift --param a=2 --terms 40000 {_rates(flag, value)}", 2,
+           f"usage error: {flag} must be positive and finite, got {float(value)}")
+
+
+@pytest.mark.parametrize("value", ["1", "0", "-3"])
+def test_seq_prime_set_names_a_non_prime(expect, value):
+    expect(f"seq s_P --param P={value} --terms 3", 2, f"usage error: {value} is not prime")
+
+
+def _row(command, code, err, out="", stdin=None):
+    name = command if stdin is None else f"{command} < {stdin}"
+    return pytest.param(command, code, err, out, stdin, id=name or "no command")
+
+
+_ROWS = [
     # of two bad values, the first in that order is named
     _row("factor --limit 0 --terms 0", 2, "usage error: --limit must be at least 1, got 0"),
     _row("op iterate --in s3.b --k 0 --terms 0", 2,
@@ -104,8 +183,6 @@ _ROWS = [
     # builtins and their parameters
     _row("seq nope --terms 4", 2,
          f"usage error: unknown builtin 'nope'; known: {', '.join(builtin_names())}"),
-    *(_row(f"seq s_P --param P={v} --terms 3", 2, f"usage error: {v} is not prime")
-      for v in (1, 0, -3)),
     *(_row(f"seq {params} --terms 2", 2, f"usage error: {message}") for params, message in (
         ("geometric --param p=1_0", "parameter p must be an integer, got '1_0'"),
         ("geometric --param 'p= 2'", "parameter p must be an integer, got ' 2'"),
@@ -161,28 +238,9 @@ _ROWS = [
 ]
 
 
-class _Unread(io.StringIO):
-    def read(self, *args):
-        raise AssertionError("stdin was read")
-
-
-def _unbuilt(*args):
-    raise AssertionError("a builtin was built")
-
-
-@pytest.mark.parametrize("argv, stdin, code, out, err", _ROWS)
-def test_contract(capsys, monkeypatch, tmp_path, argv, stdin, code, out, err):
-    if re.match(r"usage error: --\w+ must be ", err):
-        monkeypatch.setattr("orbitkit.cli.builtin", _unbuilt)
-    else:
-        for name, text in _FILES.items():
-            (tmp_path / name).write_text(text, encoding="utf-8")
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr("sys.stdin", _Unread() if stdin is None else io.StringIO(stdin))
-    got = run_cli(capsys, *argv)
-    if err.startswith("orbitkit"):
-        got = (*got[:2], got[2].splitlines(keepends=True)[-1])
-    assert got == (code, out, err)
+@pytest.mark.parametrize("command, code, err, out, stdin", _ROWS)
+def test_contract(expect, command, code, err, out, stdin):
+    expect(command, code, err, out, stdin)
 
 
 def test_seq_golden_mean_monoid(capsys):
