@@ -27,9 +27,9 @@ class GrowthReport(NamedTuple):
 
 
 def _require_rate(value: float, name: str) -> None:
-    """The one growth-rate check: 0 < value < inf (so not nan)."""
-    if not 0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {value}")
+    """The one growth-rate check: an int or float, not a bool, with 0 < value < inf (so not nan)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 def pi_count(o: Sequence, n_max: int) -> int:

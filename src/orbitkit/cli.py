@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from itertools import chain, islice, product
 from typing import Optional, Sequence as Vector
@@ -224,6 +225,14 @@ def _integer(text: str):
     return int(text) if _FIELD.fullmatch(text) else text
 
 
+_DECIMAL = r"-?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE]-?[0-9]+)?|-?inf|nan"  # compiled when growth runs
+
+
+def _rate(text: str):
+    """An ASCII decimal, inf, -inf or nan makes a float; other text is left for _require_rate."""
+    return float(text) if re.fullmatch(_DECIMAL, text) else text
+
+
 def _check_flags(args) -> None:
     """Each flag's one rule, in this order, before any command reads input or builds a term."""
     for flag, least, most in (("limit", 1, sys.maxsize), ("terms", 1, sys.maxsize), ("k", 1, None),
@@ -275,8 +284,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="print a growth report for a builtin")
     p.add_argument("--name", required=True)
     p.add_argument("--param", action="append", default=[], metavar="K=V")
-    p.add_argument("--h", type=float, required=True, help="exponential growth rate")
-    p.add_argument("--c1", type=float, required=True, help="leading constant")
+    p.add_argument("--h", type=_rate, required=True, help="exponential growth rate")
+    p.add_argument("--c1", type=_rate, required=True, help="leading constant")
     p.add_argument("--terms", type=_integer, required=True)
     p.set_defaults(func=_cmd_growth)
 

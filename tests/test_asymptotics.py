@@ -56,10 +56,18 @@ def test_harmonic_number():
                  id="3-inf-h must be finite, got inf"),
     pytest.param(3, math.nan, "h must be positive and finite, got nan",
                  id="3-nan-h must be finite, got nan"),
+    pytest.param(3, True, "h must be positive and finite, got True",
+                 id="3-True-h must not be a bool, got True"),
+    pytest.param(3, "1", "h must be positive and finite, got '1'",
+                 id="3-'1'-h must be an int or float, got a str"),
+    pytest.param(3, None, "h must be positive and finite, got None",
+                 id="3-None-h must be an int or float, got None"),
 ])
 def test_mertens_sum_rejects_bad_arguments(n_max, h, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        mertens_sum(zeta(3), n_max, h)
+    # pnt_report checks its rates, then n_max, with the same messages
+    for call, args in ((mertens_sum, (n_max, h)), (pnt_report, (h, 1.0, n_max))):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(zeta(3), *args)
 
 
 def test_pnt_report_shift2():

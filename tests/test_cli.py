@@ -149,7 +149,7 @@ def test_growth_checks_both_rates_before_building_the_sequence(expect, flag, val
            f"usage error: {flag} must be positive and finite, got {float(value)}")
 
 
-@pytest.mark.parametrize("value", ["1", "0", "-3"])
+@pytest.mark.parametrize("value", ["1", "0", "-3", "4"])
 def test_seq_prime_set_names_a_non_prime(expect, value):
     expect(f"seq s_P --param P={value} --terms 3", 2, f"usage error: {value} is not prime")
 
@@ -180,7 +180,14 @@ _ROWS = [
                            ("verify zeta-ones", "--terms", " 3"),
                            ("op iterate --in s3.b", "--k", "+2"), ("factor", "--limit", "1e3"),
                            ("export --in s3.b", "--offset", "+1"))),
+    # rates are ASCII decimals, inf, -inf or nan: no +, _, space or non-ASCII digit
+    *(_row(f"growth --name zeta --terms 5 {_rates(flag, shlex.quote(v))}", 2,
+           f"usage error: {flag} must be positive and finite, got {v!r}")
+      for flag, v in (("--h", "1_0"), ("--c1", "\u0663"), ("--h", "+2"), ("--h", " 3"))),
     # builtins and their parameters
+    _row("seq zeta --terms 3 --view fix", 0, "", out="1 1\n2 3\n3 4\n"),
+    _row("seq geometric --terms 3", 2,
+         "usage error: builtin 'geometric' takes parameters ['p'], got []"),
     _row("seq nope --terms 4", 2,
          f"usage error: unknown builtin 'nope'; known: {', '.join(builtin_names())}"),
     *(_row(f"seq {params} --terms 2", 2, f"usage error: {message}") for params, message in (
@@ -225,6 +232,13 @@ _ROWS = [
                                  ("import", "1 1_000\n", 1, "1 1_000"),
                                  ("import", "1 1\n2 +4\n", 2, "2 +4"),
                                  ("import", "1 1\n2 \u0663\n", 2, "2 \u0663"))),
+    _row("import", 0, "", out="1 1\n2 3\n3 4\n",
+         stdin="# zeta, fix view\r\n1 1\r\n\r\n2 3\r\n3 4\r\n"),
+    _row("import", 3, "input error: line 2: index 3 is not contiguous with 1",
+         stdin="1 5\n3 6\n"),
+    # one term: the search's prefix over indices up to n/2 is empty
+    _row("factor", 0, "", out="pairs 4\ntruncated false\n1 | 6\n2 | 3\n3 | 2\n6 | 1\n",
+         stdin="1 6\n"),
     # verify
     _row("verify fictional", 2,
          f"usage error: unknown identity 'fictional'; known: {', '.join(REGISTRY)}"),
@@ -300,11 +314,15 @@ def test_seq_prime_set_param(capsys):
 
 
 def test_transform_pipeline(capsys, tmp_path):
-    fix_file = tmp_path / "fix.b"
-    fix_file.write_text("1 1\n2 3\n3 4\n4 7\n", encoding="ascii")
-    code, out, _ = run_cli(capsys, "transform", "fix-to-orbit", "--in", str(fix_file))
+    # zeta's fix counts, and id_orbits to 10^5 terms there and back
+    code, fix, _ = run_cli(capsys, "seq", "id_orbits", "--terms", "100000", "--view", "fix")
     assert code == 0
-    assert out == "1 1\n2 1\n3 1\n4 1\n"
+    fix_file = tmp_path / "fix.b"
+    for fix_text, orbits in (("1 1\n2 3\n3 4\n4 7\n", [1] * 4), (fix, range(1, 100_001))):
+        fix_file.write_text(fix_text, encoding="ascii")
+        code, out, _ = run_cli(capsys, "transform", "fix-to-orbit", "--in", str(fix_file))
+        assert code == 0
+        assert out.splitlines(keepends=True) == [f"{n} {o}\n" for n, o in enumerate(orbits, 1)]
 
 
 def test_op_product_zeta(capsys, tmp_path):
@@ -328,9 +346,12 @@ def test_op_iterate(capsys, tmp_path):
 
 
 def test_verify_pass(capsys):
-    code, out, _ = run_cli(capsys, "verify", "ttimest-series", "--terms", "200")
-    assert code == 0
-    assert out == "ttimest-series: PASS\n"
+    # zeta to 43 terms has 2^14 factor pairs, more than the search's default limit; both oracle
+    # simulations go through one torus tracer; fix-series runs in cleared form, in ints
+    terms = {"ttimest-series": 200, "zeta-factorization": 43, "oracle-product": 16,
+             "oracle-iterate": 40, "fix-series": 1000}
+    got = {name: run_cli(capsys, "verify", name, "--terms", str(n)) for name, n in terms.items()}
+    assert got == {name: (0, f"{name}: PASS\n", "") for name in terms}
 
 
 def test_verify_all_smoke(capsys):
@@ -338,7 +359,7 @@ def test_verify_all_smoke(capsys):
     code, out, _ = run_cli(capsys, "verify", "all", "--terms", "8")
     assert code == 0
     lines = out.strip().splitlines()
-    assert len(lines) == len(__import__("orbitkit.identities", fromlist=["REGISTRY"]).REGISTRY)
+    assert len(lines) == len(REGISTRY)
     assert all(line.endswith("PASS") for line in lines)
 
 
@@ -428,6 +449,7 @@ def _plain_rendering(target, limit):
     (id_orbits(24), 50),
     (_random_product(), 10_000),  # terms of up to four digits
     (zeta(12), 32),  # exactly the pair count: not truncated
+    (id_orbits(300), 10_000),  # one block with 14 varying indices, cut at the limit
 ])
 def test_factor_text_matches_the_plain_rendering(capsys, tmp_path, target, limit):
     f = tmp_path / "target.b"
