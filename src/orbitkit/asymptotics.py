@@ -10,6 +10,7 @@ order 1/N.  _require_rate is the one check of a growth rate (h, c1).
 from __future__ import annotations
 
 import math
+from sys import float_info
 from typing import NamedTuple
 
 from .numtheory import _require_int
@@ -27,8 +28,9 @@ class GrowthReport(NamedTuple):
 
 
 def _require_rate(value: float, name: str) -> None:
-    """The one growth-rate check: an int or float, not a bool, with 0 < value < inf (so not nan)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value < math.inf:
+    """The one growth-rate check: an int or float, not a bool, finite as a float, and positive."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 < value <= float_info.max):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 

@@ -56,6 +56,8 @@ def test_harmonic_number():
                  id="3-inf-h must be finite, got inf"),
     pytest.param(3, math.nan, "h must be positive and finite, got nan",
                  id="3-nan-h must be finite, got nan"),
+    pytest.param(3, 10**400, f"h must be positive and finite, got {10**400}",
+                 id="3-10**400-h must be finite as a float, got 10**400"),
     pytest.param(3, True, "h must be positive and finite, got True",
                  id="3-True-h must not be a bool, got True"),
     pytest.param(3, "1", "h must be positive and finite, got '1'",
@@ -68,6 +70,11 @@ def test_mertens_sum_rejects_bad_arguments(n_max, h, message):
     for call, args in ((mertens_sum, (n_max, h)), (pnt_report, (h, 1.0, n_max))):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(zeta(3), *args)
+
+
+def test_pnt_report_rejects_c1_past_the_float_range():
+    with pytest.raises(ValueError, match=f"^c1 must be positive and finite, got {10**400}$"):
+        pnt_report(zeta(3), 1.0, 10**400, 3)
 
 
 def test_pnt_report_shift2():

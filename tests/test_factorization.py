@@ -40,6 +40,9 @@ def test_zeta_ten_has_sixteen_pairs():
         excluded = tuple(p for p in (2, 3, 5, 7) if left[p - 1] == 0)
         assert left == s_p(PrimeSet.finite(excluded), 10).terms
         assert right == s_p(PrimeSet.all_except(excluded), 10).terms
+    # an indicator times the indicator of the complementary primes is zeta, at 100 terms too
+    for pset in map(PrimeSet.finite, ((), (2,), (3,), (2, 7))):
+        assert product_orbits(s_p(pset, 100), s_p(pset.complement(), 100)) == zeta(100)
 
 
 def test_pairs_sorted_by_left_factor():

@@ -88,8 +88,10 @@ def test_iterate_fix_is_dilation():
 
 
 def test_iterate_feigenbaum_squared():
-    t = iterate_orbits(feigenbaum(16), 2)
-    assert t.terms == (3, 2, 0, 2, 0, 0, 0, 2)
+    t = iterate_orbits(feigenbaum(256), 2)
+    assert t.terms[:8] == (3, 2, 0, 2, 0, 0, 0, 2)
+    # past m = 1, the square has two orbits at each power of two and none elsewhere
+    assert t.terms[1:] == tuple(2 if m & (m - 1) == 0 else 0 for m in range(2, 129))
 
 
 def test_iterate_k_one_is_identity():

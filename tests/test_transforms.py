@@ -7,6 +7,7 @@ from orbitkit import (
     NegativeError,
     NonIntegralError,
     NotRealizableError,
+    PrimeSet,
     Sequence,
     View,
     ViewError,
@@ -16,9 +17,10 @@ from orbitkit import (
     fix_to_orbit,
     is_multiplicative,
     orbit_to_fix,
+    part,
     product_formula,
 )
-from orbitkit.sequences import geometric, golden_mean, id_orbits, zeta
+from orbitkit.sequences import feigenbaum, geometric, golden_mean, id_orbits, zeta
 from orbitkit.transforms import monoid_counts
 from helpers import (
     euler_inverse_brute,
@@ -50,6 +52,9 @@ def test_orbit_to_fix_id():
     f = orbit_to_fix(id_orbits(6))
     assert f.view is View.FIX
     assert f.terms == (1, 5, 10, 21, 26, 50)
+    # the doubling cascade has F(n) = 2 * (2-part of n) - 1
+    fix = tuple(2 * part(m, PrimeSet.finite((2,))) - 1 for m in range(1, 257))
+    assert orbit_to_fix(feigenbaum(256)).terms == fix
 
 
 def test_fix_to_orbit_golden_mean():

@@ -58,15 +58,17 @@ def test_monoid_counts_golden_mean():
 
 
 def test_monoid_counts_dual_rational():
-    assert monoid_counts(dual_rational(2, 3, 5).terms) == [1, 3, 9, 27, 81]
+    # (1, 3, 9, 27, 81, ...): convert expands the counts by monoid_counts
+    assert convert(dual_rational(2, 3, 20), View.MONOID).terms == tuple(3**m for m in range(20))
 
 
 def test_monoid_counts_full_shift():
-    # 1/(1 - 2s): the monoid count G(n) = 2^n, forced by the Euler
+    # 1/(1 - a s): the monoid count G(n) = a^n, forced by the Euler
     # recurrence n G(n) = F(n) + sum F(k) G(n-k)
-    got = monoid_counts(full_shift(2, 5).terms)
-    assert got == [2, 4, 8, 16, 32]
-    assert got == list(euler(fix_to_orbit(full_shift(2, 5))))
+    for a in (2, 3):
+        got = convert(full_shift(a, 20), View.MONOID).terms
+        assert got == tuple(a**m for m in range(1, 21))
+        assert got == tuple(euler(fix_to_orbit(full_shift(a, 20))))
 
 
 def test_monoid_counts_view_check():
