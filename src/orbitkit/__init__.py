@@ -7,7 +7,7 @@ is the dynamical zeta power series of fixed-point data f),
 product/union/iterate operators, Dirichlet and zeta series identities,
 growth asymptotics, a brute-force simulation oracle, and a
 factorization search — all in exact integer arithmetic apart from the
-asymptotics module's floats.
+growth statistics, growth rates and growth envelopes, which are floats.
 """
 
 from .asymptotics import (

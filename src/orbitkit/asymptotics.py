@@ -1,9 +1,9 @@
 """Orbit-growth statistics: dynamical prime counting and Mertens sums.
 
-This is the only module that touches floating point; everything
-upstream stays exact.  pi(N) counts closed orbits of length at most N;
-M(N) weights them by e^{-h n}.  When F(n) = C1 e^{hn} + small, the
-prediction C1 e^{h(N+1)} / (N (e^h - 1)) tracks pi(N) to relative
+Sums and predictions are floats here, as are the CLI's growth rates and the
+growth identities' envelopes; counts stay exact.  pi(N) counts closed orbits
+of length at most N; M(N) weights them by e^{-h n}.  When F(n) = C1 e^{hn} +
+small, the prediction C1 e^{h(N+1)} / (N (e^h - 1)) tracks pi(N) to relative
 order 1/N.  _require_rate is the one check of a growth rate (h, c1).
 """
 
@@ -13,7 +13,7 @@ import math
 from sys import float_info
 from typing import NamedTuple
 
-from .numtheory import _require_int
+from .numtheory import _require_int, _shown
 from .sequences import Sequence, View
 
 
@@ -31,7 +31,7 @@ def _require_rate(value: float, name: str) -> None:
     """The one growth-rate check: an int or float, not a bool, finite as a float, and positive."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or not 0 < value <= float_info.max):
-        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        raise ValueError(f"{name} must be positive and finite, got {_shown(value)}")
 
 
 def pi_count(o: Sequence, n_max: int) -> int:

@@ -13,6 +13,7 @@ slice pass per prime power; the harmonic mul and div are their referee.
 
 from __future__ import annotations
 
+import sys
 from operator import add, sub
 from typing import Iterable
 
@@ -66,7 +67,7 @@ class DirichletPoly:
 
 def zeta_shift(a: int, n_terms: int) -> DirichletPoly:
     """zeta(s - a) truncated: coefficient n**a at n, for a >= 0."""
-    _require_int(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
     _require_int(a, "shift", least=0)
     return DirichletPoly(tuple(n**a for n in range(1, n_terms + 1)))
 
@@ -78,7 +79,7 @@ def zeta_poly(n_terms: int) -> DirichletPoly:
 
 def sparse(entries: Iterable[tuple[int, int]], n_terms: int) -> DirichletPoly:
     """Polynomial with the given (index, coefficient) entries, rest zero."""
-    _require_int(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
     coeffs: list[int] = [0] * n_terms
     seen: set[int] = set()
     for idx, value in entries:

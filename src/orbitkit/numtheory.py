@@ -20,9 +20,17 @@ def _require_int(value: int, name: str, least: Optional[int] = 1,
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
-        raise ValueError(f"{name} must be at least {least}, got {value}")
+        raise ValueError(f"{name} must be at least {least}, got {_shown(value)}")
     if most is not None and value > most:
-        raise ValueError(f"{name} must be at most {most}, got {value}")
+        raise ValueError(f"{name} must be at most {most}, got {_shown(value)}")
+
+
+def _shown(value) -> str:
+    """repr(value), or an int's sign and bit length where repr would pass the digit limit."""
+    try:
+        return repr(value)
+    except ValueError:  # an int past the interpreter's int/str digit limit
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
 
 
 def is_prime(n: int) -> bool:

@@ -14,6 +14,7 @@ vector is never fed to, say, the Euler transform by accident.
 from __future__ import annotations
 
 import enum
+import sys
 from math import gcd
 from typing import Mapping, Union
 
@@ -110,32 +111,32 @@ def truncate(s: Sequence, m: int) -> Sequence:
 
 def zeta(n_terms: int) -> Sequence:
     """One closed orbit of every length."""
-    _require_int(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
     return Sequence(View.ORBIT, (1,) * n_terms)
 
 
 def delta(n_terms: int) -> Sequence:
     """A single fixed point and nothing else."""
-    _require_int(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
     return Sequence(View.ORBIT, (1,) + (0,) * (n_terms - 1))
 
 
 def id_orbits(n_terms: int) -> Sequence:
     """n closed orbits of length n."""
-    _require_int(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
     return Sequence(View.ORBIT, tuple(range(1, n_terms + 1)))
 
 
 def geometric(p: int, n_terms: int) -> Sequence:
     """p**n closed orbits of length n, for a base p >= 2."""
-    _require_int(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
     _require_int(p, "p", least=2)
     return Sequence(View.ORBIT, tuple(p**n for n in range(1, n_terms + 1)))
 
 
 def s_p(primes: PrimeSet, n_terms: int) -> Sequence:
     """Indicator of the integers not divisible by any prime in the set."""
-    _require_int(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
     return Sequence(
         View.ORBIT,
         tuple(1 if part(n, primes) == 1 else 0 for n in range(1, n_terms + 1)),
@@ -144,7 +145,7 @@ def s_p(primes: PrimeSet, n_terms: int) -> Sequence:
 
 def _at_powers(base: int, n_terms: int) -> Sequence:
     """One orbit at each length that is a power of base, none elsewhere."""
-    _require_int(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
     terms = [0] * n_terms
     k = 1
     while k <= n_terms:
@@ -165,7 +166,7 @@ def ternary(n_terms: int) -> Sequence:
 
 def golden_mean(n_terms: int) -> Sequence:
     """Fixed-point counts of the golden mean shift: the Lucas numbers."""
-    _require_int(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
     terms = []
     a, b = 1, 3
     for _ in range(n_terms):
@@ -176,14 +177,14 @@ def golden_mean(n_terms: int) -> Sequence:
 
 def full_shift(a: int, n_terms: int) -> Sequence:
     """Fixed-point counts a**n of the full shift on a >= 2 symbols."""
-    _require_int(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
     _require_int(a, "a", least=2)
     return Sequence(View.FIX, tuple(a**n for n in range(1, n_terms + 1)))
 
 
 def dual_rational(a: int, b: int, n_terms: int) -> Sequence:
     """Fixed-point counts b**n - a**n for coprime 0 < a < b."""
-    _require_int(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
     _require_int(a, "a")
     _require_int(b, "b", least=a + 1)
     if gcd(a, b) != 1:
@@ -193,7 +194,7 @@ def dual_rational(a: int, b: int, n_terms: int) -> Sequence:
 
 def localized_23(n_terms: int) -> Sequence:
     """Fixed-point counts: the 3-part of 2**n - 1."""
-    _require_int(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
     return Sequence(
         View.FIX, tuple(part(2**n - 1, _THREE) for n in range(1, n_terms + 1))
     )
@@ -201,7 +202,7 @@ def localized_23(n_terms: int) -> Sequence:
 
 def s_integer_23(n_terms: int) -> Sequence:
     """Fixed-point counts: 2**n - 1 with its 3-part removed."""
-    _require_int(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
     terms = []
     for n in range(1, n_terms + 1):
         m = 2**n - 1
@@ -216,7 +217,7 @@ def s_part_seq(primes: PrimeSet, n_terms: int) -> Sequence:
     is the orbit count of some map, and that is the view under which
     the dirichlet module consumes it.
     """
-    _require_int(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
     return Sequence(View.ORBIT, tuple(part(n, primes) for n in range(1, n_terms + 1)))
 
 
@@ -228,7 +229,7 @@ def a_s(primes: PrimeSet, n_terms: int) -> Sequence:
     p - 1, so (p+1) p^a - 2 is 2 - 2 = 0 modulo p - 1.  Tagged ORBIT,
     like s_part_seq, for the dirichlet module.
     """
-    _require_int(n_terms, "n_terms")
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
     terms = []
     for n in range(1, n_terms + 1):
         w = 1

@@ -1,24 +1,61 @@
-"""Brute-force reference implementations shared by the tests.
+"""Brute-force reference implementations shared by the tests, and the CLI runner.
 
 Everything here recomputes results from first principles, on purpose:
 loops over all pairs instead of divisor tricks, so the library's
 number-theoretic shortcuts are checked against something dumber.
 """
 
+import contextlib
+import io
 import sys
 from fractions import Fraction
 from math import gcd
 from random import Random
+from unittest import mock
 
 import pytest
 from hypothesis import strategies as st
 
 from orbitkit import NegativeError, NonIntegralError, Sequence, View
+from orbitkit.cli import main
 
 # for tests that set Python's int/str digit limit (3.10.7 and later have one)
 needs_digit_limit = pytest.mark.skipif(
     not hasattr(sys, "get_int_max_str_digits"), reason="interpreter has no int/str digit limit"
 )
+
+
+@contextlib.contextmanager
+def digit_limit(digits=None):
+    """Python's int/str digit limit set to digits (None: its default) inside the block, where
+    the interpreter has one."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits if digits is None else digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+class _Unread(io.StringIO):
+    def read(self, *args):
+        raise AssertionError("stdin was read")
+
+
+def invoke(*argv, stdin=""):
+    """Run the orbitkit CLI in-process: (exit code, stdout, stderr).
+
+    stdin is the text it reads (None: a stdin that fails the test if read).  The
+    runner takes no pytest fixture, so it also runs inside hypothesis's @given.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", _Unread() if stdin is None else io.StringIO(stdin)), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
 
 
 def divisors_brute(n):

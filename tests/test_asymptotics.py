@@ -13,6 +13,7 @@ from orbitkit import (
 )
 from orbitkit import Sequence, View
 from orbitkit.sequences import delta, full_shift, zeta
+from helpers import digit_limit, needs_digit_limit
 
 LN2 = math.log(2)
 
@@ -58,6 +59,9 @@ def test_harmonic_number():
                  id="3-nan-h must be finite, got nan"),
     pytest.param(3, 10**400, f"h must be positive and finite, got {10**400}",
                  id="3-10**400-h must be finite as a float, got 10**400"),
+    pytest.param(3, 10**5000, "h must be positive and finite, got an int of 16610 bits",
+                 id="3-10**5000-h past the digit limit, got its bit length",
+                 marks=needs_digit_limit),
     pytest.param(3, True, "h must be positive and finite, got True",
                  id="3-True-h must not be a bool, got True"),
     pytest.param(3, "1", "h must be positive and finite, got '1'",
@@ -68,7 +72,7 @@ def test_harmonic_number():
 def test_mertens_sum_rejects_bad_arguments(n_max, h, message):
     # pnt_report checks its rates, then n_max, with the same messages
     for call, args in ((mertens_sum, (n_max, h)), (pnt_report, (h, 1.0, n_max))):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        with digit_limit(), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             call(zeta(3), *args)
 
 

@@ -1,10 +1,8 @@
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitkit import BFile, BFileFormatError, bfile, format_bfile, parse_bfile
-from helpers import needs_digit_limit, outcome
+from helpers import digit_limit, needs_digit_limit, outcome
 
 
 def test_format_canonical():
@@ -160,32 +158,24 @@ def test_canonical_text_never_reaches_the_line_reader(values, start):
 @needs_digit_limit
 def test_term_over_the_digit_limit_names_its_line():
     text = "1 " + "1" * 5000 + "\n"
-    old = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    with digit_limit():
         with pytest.raises(BFileFormatError, match="^line 1: "):
             parse_bfile(text)
         with pytest.raises(BFileFormatError, match="^line 3: "):
             parse_bfile("# big\n1 1\n" + text.replace("1 ", "2 ", 1))
-        sys.set_int_max_str_digits(0)
+    with digit_limit(0):
         assert parse_bfile(text).values == (int("1" * 5000),)
-    finally:
-        sys.set_int_max_str_digits(old)
 
 
 @needs_digit_limit
 def test_writing_a_term_over_the_digit_limit_names_its_index():
     big = 10**5000
-    old = sys.get_int_max_str_digits()
-    try:
-        sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    with digit_limit():
         with pytest.raises(BFileFormatError, match="^index 2: "):
             format_bfile([1, big])
         with pytest.raises(BFileFormatError, match="^index 3: "):
             format_bfile([big, 1], 3)
         with pytest.raises(BFileFormatError, match="^index 7: "):
             format_bfile((1, 2, big), 5)
-        sys.set_int_max_str_digits(0)
+    with digit_limit(0):
         assert format_bfile([1, big]) == "1 1\n2 1" + "0" * 5000 + "\n"
-    finally:
-        sys.set_int_max_str_digits(old)

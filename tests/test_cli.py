@@ -1,6 +1,5 @@
 import contextlib
 import decimal
-import io
 import json
 import os
 import random
@@ -10,7 +9,6 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,18 +18,12 @@ from orbitkit.cli import main, parse_prime_set
 from orbitkit import PrimeSet, Sequence, View, format_bfile, product_orbits
 from orbitkit.identities import REGISTRY
 from orbitkit.sequences import builtin_names, id_orbits, zeta
-from helpers import factor_search_dfs, needs_digit_limit
+from helpers import digit_limit, factor_search_dfs, invoke, needs_digit_limit
 
 
-def run_cli(capsys, *argv):
-    code = main(list(argv))
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-# The exit-code contract, one invocation per check: the command line, stdin (None: one that fails
-# the check if read), and the exit code, stdout and stderr, each pinned exactly. Commands run in a
-# directory holding _FILES. A check whose stderr names a flag rule (`usage error: --flag must be`)
+# The exit-code contract, one helpers.invoke per check: the command line, stdin (None: one that
+# fails the check if read), and the exit code, stdout and stderr, each pinned exactly. Commands run
+# in a directory holding _FILES. A check whose stderr names a flag rule (`usage error: --flag must be`)
 # runs with no files and a cli.builtin that fails if called: main checks every flag before any
 # command reads input or builds a term. Of argparse's own errors, whose usage lines differ
 # between Python versions, the last line of stderr is pinned.
@@ -42,13 +34,9 @@ _FILES = {
     "fix2.b": "1 1\n2 2\n",  # fixed-point counts that no map has
     "x.b": "1 x\n",
     "accent.b": "1 1\n2 \u00e9\n",
+    "z8.b": "".join(f"{n} 1\n" for n in range(1, 9)),
 }
 _MAX = sys.maxsize
-
-
-class _Unread(io.StringIO):
-    def read(self, *args):
-        raise AssertionError("stdin was read")
 
 
 def _unbuilt(*args):
@@ -56,7 +44,7 @@ def _unbuilt(*args):
 
 
 @pytest.fixture
-def expect(capsys, monkeypatch, tmp_path):
+def expect(monkeypatch, tmp_path):
     def check(command, code, err, out="", stdin=None):
         err = err and err + "\n"
         if re.match(r"usage error: --\w+ must be ", err):
@@ -65,8 +53,7 @@ def expect(capsys, monkeypatch, tmp_path):
             for name, text in _FILES.items():
                 (tmp_path / name).write_text(text, encoding="utf-8")
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr("sys.stdin", _Unread() if stdin is None else io.StringIO(stdin))
-        got = run_cli(capsys, *shlex.split(command))
+        got = invoke(*shlex.split(command), stdin=stdin)
         if err.startswith("orbitkit"):
             got = (*got[:2], got[2].splitlines(keepends=True)[-1])
         assert got == (code, out, err)
@@ -257,44 +244,28 @@ def test_contract(expect, command, code, err, out, stdin):
     expect(command, code, err, out, stdin)
 
 
-def test_seq_golden_mean_monoid(capsys):
-    code, out, _ = run_cli(capsys, "seq", "golden_mean", "--terms", "6", "--view", "monoid")
-    assert code == 0
-    assert out == "1 1\n2 2\n3 3\n4 5\n5 8\n6 13\n"
+def test_seq_golden_mean_monoid(expect):
+    expect("seq golden_mean --terms 6 --view monoid", 0, "", out="1 1\n2 2\n3 3\n4 5\n5 8\n6 13\n")
 
 
-def test_seq_default_view(capsys):
-    code, out, _ = run_cli(capsys, "seq", "zeta", "--terms", "3")
-    assert code == 0
-    assert out == "1 1\n2 1\n3 1\n"
+def test_seq_default_view(expect):
+    expect("seq zeta --terms 3", 0, "", out="1 1\n2 1\n3 1\n")
 
 
-def test_seq_with_params(capsys):
-    code, out, _ = run_cli(
-        capsys, "seq", "full_shift", "--param", "a=2", "--terms", "4", "--view", "orbit"
-    )
-    assert code == 0
-    assert out == "1 2\n2 1\n3 2\n4 3\n"
+def test_seq_with_params(expect):
+    expect("seq full_shift --param a=2 --terms 4 --view orbit", 0, "", out="1 2\n2 1\n3 2\n4 3\n")
 
 
-def test_seq_rational_builtin(capsys):
-    code, out, _ = run_cli(capsys, "seq", "a_S", "--param", "S=2", "--terms", "4")
-    assert code == 0
-    assert out == "1 1\n2 4\n3 1\n4 10\n"
+def test_seq_rational_builtin(expect):
+    expect("seq a_S --param S=2 --terms 4", 0, "", out="1 1\n2 4\n3 1\n4 10\n")
 
 
-def test_seq_a_s_view(capsys):
+def test_seq_a_s_view(expect):
     # the a_S weights are orbit-tagged integers, so every view applies
-    code, out, _ = run_cli(
-        capsys, "seq", "a_S", "--param", "S=2", "--terms", "4", "--view", "fix"
-    )
-    assert code == 0
-    assert out == "1 1\n2 9\n3 4\n4 49\n"
-    code, out, _ = run_cli(
-        capsys, "growth", "--name", "a_S", "--param", "S=2", "--h", "1", "--c1", "1",
-        "--terms", "4",
-    )
-    assert code == 0
+    expect("seq a_S --param S=2 --terms 4 --view fix", 0, "", out="1 1\n2 9\n3 4\n4 49\n")
+    code, out, err = invoke("growth", "--name", "a_S", "--param", "S=2", "--h", "1", "--c1", "1",
+                            "--terms", "4")
+    assert (code, err) == (0, "")
     assert "pi_actual 16\n" in out
 
 
@@ -307,82 +278,61 @@ def test_prime_set_syntax():
         parse_prime_set("2,x")
 
 
-def test_seq_prime_set_param(capsys):
-    code, out, _ = run_cli(capsys, "seq", "s_P", "--param", "P=~2,3", "--terms", "6")
-    assert code == 0
-    assert out == "1 1\n2 1\n3 1\n4 1\n5 0\n6 1\n"
+def test_seq_prime_set_param(expect):
+    expect("seq s_P --param P=~2,3 --terms 6", 0, "", out="1 1\n2 1\n3 1\n4 1\n5 0\n6 1\n")
 
 
-def test_transform_pipeline(capsys, tmp_path):
+def test_transform_pipeline(expect):
     # zeta's fix counts, and id_orbits to 10^5 terms there and back
-    code, fix, _ = run_cli(capsys, "seq", "id_orbits", "--terms", "100000", "--view", "fix")
-    assert code == 0
-    fix_file = tmp_path / "fix.b"
-    for fix_text, orbits in (("1 1\n2 3\n3 4\n4 7\n", [1] * 4), (fix, range(1, 100_001))):
-        fix_file.write_text(fix_text, encoding="ascii")
-        code, out, _ = run_cli(capsys, "transform", "fix-to-orbit", "--in", str(fix_file))
-        assert code == 0
-        assert out.splitlines(keepends=True) == [f"{n} {o}\n" for n, o in enumerate(orbits, 1)]
+    expect("transform fix-to-orbit", 0, "", out="1 1\n2 1\n3 1\n4 1\n",
+           stdin="1 1\n2 3\n3 4\n4 7\n")
+    code, fix, err = invoke("seq", "id_orbits", "--terms", "100000", "--view", "fix")
+    assert (code, err) == (0, "")
+    code, out, err = invoke("transform", "fix-to-orbit", stdin=fix)
+    assert (code, err) == (0, "")
+    assert out.splitlines(keepends=True) == [f"{n} {n}\n" for n in range(1, 100_001)]
 
 
-def test_op_product_zeta(capsys, tmp_path):
-    z = tmp_path / "zeta.b"
-    z.write_text("".join(f"{n} 1\n" for n in range(1, 9)), encoding="ascii")
-    code, out, _ = run_cli(
-        capsys, "op", "product", "--in", str(z), "--in", str(z), "--terms", "8"
-    )
-    assert code == 0
-    values = [int(line.split()[1]) for line in out.splitlines()]
-    assert values == [1, 4, 5, 10, 7, 20, 9, 22]
+def test_op_product_zeta(expect):
+    expect("op product --in z8.b --in z8.b --terms 8", 0, "",
+           out="1 1\n2 4\n3 5\n4 10\n5 7\n6 20\n7 9\n8 22\n")
 
 
-def test_op_iterate(capsys, tmp_path):
-    ident = tmp_path / "id.b"
-    ident.write_text("".join(f"{n} {n}\n" for n in range(1, 17)), encoding="ascii")
-    code, out, _ = run_cli(capsys, "op", "iterate", "--in", str(ident), "--k", "2", "--terms", "8")
-    assert code == 0
-    values = [int(line.split()[1]) for line in out.splitlines()]
-    assert values == [5, 8, 15, 16, 25, 24, 35, 32]
+def test_op_iterate(expect):
+    expect("op iterate --in - --k 2 --terms 8", 0, "",
+           out="1 5\n2 8\n3 15\n4 16\n5 25\n6 24\n7 35\n8 32\n",
+           stdin="".join(f"{n} {n}\n" for n in range(1, 17)))
 
 
-def test_verify_pass(capsys):
+def test_verify_pass():
     # zeta to 43 terms has 2^14 factor pairs, more than the search's default limit; both oracle
     # simulations go through one torus tracer; fix-series runs in cleared form, in ints
     terms = {"ttimest-series": 200, "zeta-factorization": 43, "oracle-product": 16,
              "oracle-iterate": 40, "fix-series": 1000}
-    got = {name: run_cli(capsys, "verify", name, "--terms", str(n)) for name, n in terms.items()}
+    got = {name: invoke("verify", name, "--terms", str(n)) for name, n in terms.items()}
     assert got == {name: (0, f"{name}: PASS\n", "") for name in terms}
 
 
-def test_verify_all_smoke(capsys):
+def test_verify_all_smoke(expect):
     # cut the expensive defaults down; every identity still runs
-    code, out, _ = run_cli(capsys, "verify", "all", "--terms", "8")
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == len(REGISTRY)
-    assert all(line.endswith("PASS") for line in lines)
+    expect("verify all --terms 8", 0, "", out="".join(f"{name}: PASS\n" for name in REGISTRY))
 
 
-def test_long_bfile_output_is_unbroken(capsys, tmp_path):
+def test_long_bfile_output_is_unbroken():
     # output is written in slices; indices run on across slice boundaries
     # (lists of lines, so a failure reports its first wrong line quickly)
-    code, out, _ = run_cli(capsys, "seq", "id_orbits", "--terms", "2500")
-    assert code == 0
+    code, out, err = invoke("seq", "id_orbits", "--terms", "2500")
+    assert (code, err) == (0, "")
     assert out.splitlines(keepends=True) == [f"{n} {n}\n" for n in range(1, 2501)]
-    f = tmp_path / "id.b"
-    f.write_text(out, encoding="ascii")
-    code, out, _ = run_cli(capsys, "export", "--in", str(f), "--offset", "-5")
-    assert code == 0
+    code, out, err = invoke("export", "--offset", "-5", stdin=out)
+    assert (code, err) == (0, "")
     assert out.splitlines(keepends=True) == [f"{n - 6} {n}\n" for n in range(1, 2501)]
 
 
-def test_growth_report(capsys):
-    code, out, _ = run_cli(
-        capsys,
-        "growth", "--name", "full_shift", "--param", "a=2",
-        "--h", "0.6931471805599453", "--c1", "1.0", "--terms", "20",
-    )
-    assert code == 0
+def test_growth_report():
+    code, out, err = invoke("growth", "--name", "full_shift", "--param", "a=2",
+                            "--h", "0.6931471805599453", "--c1", "1.0", "--terms", "20")
+    assert (code, err) == (0, "")
     lines = dict(line.split(" ", 1) for line in out.splitlines())
     assert lines["n_max"] == "20"
     assert lines["pi_actual"] == "111013"
@@ -392,13 +342,11 @@ def test_growth_report(capsys):
 @pytest.mark.parametrize(
     "h, terms", [("0.693147", "1024"), ("1000", "20"), ("1e-20", "5"), ("0.01", "1100")]
 )
-def test_growth_past_the_float_range(capsys, h, terms):
+def test_growth_past_the_float_range(h, terms):
     # e^{h(N+1)} overflows, or e^h - 1 rounds to 0; the prediction itself may still be a float
     # at h = 0.01, O(1100) e^{-11} is about 2^1100 e^{-11} / 1100, past the float range
-    code, out, err = run_cli(
-        capsys, "growth", "--name", "full_shift", "--param", "a=2",
-        "--h", h, "--c1", "1", "--terms", terms,
-    )
+    code, out, err = invoke("growth", "--name", "full_shift", "--param", "a=2",
+                            "--h", h, "--c1", "1", "--terms", terms)
     assert (code, err) == (0, "")
     lines = dict(line.split(" ", 1) for line in out.splitlines())
     with decimal.localcontext() as ctx:  # decimal has no overflow at these sizes
@@ -410,21 +358,14 @@ def test_growth_past_the_float_range(capsys, h, terms):
         assert lines["mertens_actual"] == "inf"
 
 
-def test_factor_text_output(capsys, tmp_path):
-    f = tmp_path / "delta.b"
-    f.write_text("1 1\n2 0\n3 0\n", encoding="ascii")
-    code, out, _ = run_cli(capsys, "factor", "--in", str(f))
-    assert code == 0
-    assert out.splitlines()[0] == "pairs 1"
-    assert out.splitlines()[1] == "truncated false"
-    assert out.splitlines()[2] == "1 0 0 | 1 0 0"
+def test_factor_text_output(expect):
+    expect("factor", 0, "", out="pairs 1\ntruncated false\n1 0 0 | 1 0 0\n",
+           stdin="1 1\n2 0\n3 0\n")
 
 
-def test_factor_json_output(capsys, tmp_path):
-    f = tmp_path / "zeta.b"
-    f.write_text("".join(f"{n} 1\n" for n in range(1, 7)), encoding="ascii")
-    code, out, _ = run_cli(capsys, "factor", "--in", str(f), "--json")
-    assert code == 0
+def test_factor_json_output():
+    code, out, err = invoke("factor", "--json", stdin="".join(f"{n} 1\n" for n in range(1, 7)))
+    assert (code, err) == (0, "")
     payload = json.loads(out)
     assert payload["truncated"] is False
     assert len(payload["pairs"]) == 8
@@ -451,12 +392,9 @@ def _plain_rendering(target, limit):
     (zeta(12), 32),  # exactly the pair count: not truncated
     (id_orbits(300), 10_000),  # one block with 14 varying indices, cut at the limit
 ])
-def test_factor_text_matches_the_plain_rendering(capsys, tmp_path, target, limit):
-    f = tmp_path / "target.b"
-    f.write_text("".join(f"{n} {t}\n" for n, t in enumerate(target, 1)), encoding="ascii")
-    code, out, _ = run_cli(capsys, "factor", "--in", str(f), "--limit", str(limit))
-    assert code == 0
-    assert out == _plain_rendering(target, limit)
+def test_factor_text_matches_the_plain_rendering(expect, target, limit):
+    expect(f"factor --limit {limit}", 0, "", out=_plain_rendering(target, limit),
+           stdin=format_bfile(target.terms))
 
 
 @st.composite
@@ -474,11 +412,8 @@ def factor_cases(draw):
 @given(factor_cases())
 def test_factor_text_streams_the_plain_rendering(case):
     target, limit = case
-    out = io.StringIO()
-    with mock.patch("sys.stdin", io.StringIO(format_bfile(target.terms))):
-        with contextlib.redirect_stdout(out):
-            assert main(["factor", "--limit", str(limit)]) == 0
-    assert out.getvalue() == _plain_rendering(target, limit)
+    got = invoke("factor", "--limit", str(limit), stdin=format_bfile(target.terms))
+    assert got == (0, _plain_rendering(target, limit), "")
 
 
 def test_factor_text_memory_follows_blocks(tmp_path):
@@ -500,78 +435,46 @@ def test_factor_text_memory_follows_blocks(tmp_path):
         assert sum(1 for _ in fh) == 10_000
 
 
-def test_export_import_roundtrip(capsys, tmp_path):
-    f = tmp_path / "seq.b"
-    f.write_text("1 4\n2 5\n3 6\n", encoding="ascii")
-    code, out, _ = run_cli(capsys, "export", "--in", str(f), "--offset", "0")
-    assert code == 0
-    assert out == "0 4\n1 5\n2 6\n"
-    shifted = tmp_path / "shifted.b"
-    shifted.write_text(out, encoding="ascii")
-    code, out, _ = run_cli(capsys, "import", "--in", str(shifted))
-    assert code == 0
-    assert out == "1 4\n2 5\n3 6\n"
+def test_export_import_roundtrip(expect):
+    expect("export --offset 0", 0, "", out="0 4\n1 5\n2 6\n", stdin="1 4\n2 5\n3 6\n")
+    expect("import", 0, "", out="1 4\n2 5\n3 6\n", stdin="0 4\n1 5\n2 6\n")
 
 
-def test_stdin_input(capsys, monkeypatch):
-    monkeypatch.setattr("sys.stdin", io.StringIO("1 1\n2 1\n3 1\n"))
-    code, out, _ = run_cli(capsys, "transform", "euler")
-    assert code == 0
-    assert out == "1 1\n2 2\n3 3\n"
+def test_stdin_input(expect):
+    expect("transform euler", 0, "", out="1 1\n2 2\n3 3\n", stdin="1 1\n2 1\n3 1\n")
 
 
-def test_deterministic_output(capsys):
-    first = run_cli(capsys, "verify", "three-route-monoid")
-    second = run_cli(capsys, "verify", "three-route-monoid")
-    assert first == second
+def test_deterministic_output():
+    assert invoke("verify", "three-route-monoid") == invoke("verify", "three-route-monoid")
 
 
-def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+def test_unexpected_exception_is_internal_error(expect, monkeypatch):
     def broken(seq, view):
         raise RuntimeError("boom")
 
     monkeypatch.setattr("orbitkit.cli.convert", broken)
-    code, out, err = run_cli(capsys, "seq", "zeta", "--terms", "3", "--view", "fix")
-    assert code == 4
-    assert out == ""
-    assert err.startswith("internal error:") and "boom" in err
+    expect("seq zeta --terms 3 --view fix", 4, "internal error: RuntimeError('boom')")
 
 
-@pytest.fixture
-def default_digit_limit():
-    """Python's default int/str digit limit, where the interpreter has one."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
-    yield
-    sys.set_int_max_str_digits(old)
-
-
-def test_import_term_with_5001_digits(capsys, tmp_path, default_digit_limit):
+def test_import_term_with_5001_digits(expect):
     text = "1 " + "7" * 5001 + "\n"
-    f = tmp_path / "big.b"
-    f.write_text(text, encoding="ascii")
-    code, out, _ = run_cli(capsys, "import", "--in", str(f))
-    assert code == 0
-    assert out == text
+    with digit_limit():
+        expect("import", 0, "", out=text, stdin=text)
 
 
-def test_transform_term_with_5001_digits(capsys, tmp_path, default_digit_limit):
-    f = tmp_path / "big.b"
-    f.write_text("1 2\n2 1" + "0" * 4999 + "3\n", encoding="ascii")  # 10^5000 + 3
-    code, out, _ = run_cli(capsys, "transform", "orbit-to-fix", "--in", str(f))
-    assert code == 0
-    assert out == "1 2\n2 2" + "0" * 4999 + "8\n"
+def test_transform_term_with_5001_digits(expect):
+    with digit_limit():  # 10^5000 + 3 in, 2 (10^5000 + 4) out
+        expect("transform orbit-to-fix", 0, "", out="1 2\n2 2" + "0" * 4999 + "8\n",
+               stdin="1 2\n2 1" + "0" * 4999 + "3\n")
 
 
 @needs_digit_limit
 @pytest.mark.parametrize("argv", [("seq", "zeta", "--terms", "2"), ("seq", "nope", "--terms", "2")])
-def test_main_restores_the_digit_limit(capsys, default_digit_limit, argv):
-    before = sys.get_int_max_str_digits()
-    run_cli(capsys, *argv)
-    assert sys.get_int_max_str_digits() == before
+def test_main_restores_the_digit_limit(argv):
+    with digit_limit():
+        before = sys.get_int_max_str_digits()
+        invoke(*argv)
+        assert sys.get_int_max_str_digits() == before
 
 
 def test_cli_import_skips_dataclasses_and_json():
@@ -608,10 +511,8 @@ def test_closed_stdout_is_not_an_error(tmp_path):
     assert proc.wait(timeout=120) == 0
 
 
-def test_factor_deep_input(capsys, tmp_path):
+def test_factor_deep_input(expect):
     # one stack frame per index would pass Python's recursion limit
-    f = tmp_path / "delta.b"
-    f.write_text("1 1\n" + "".join(f"{n} 0\n" for n in range(2, 1501)), encoding="ascii")
-    code, out, _ = run_cli(capsys, "factor", "--in", str(f))
-    assert code == 0
-    assert out.splitlines()[:2] == ["pairs 1", "truncated false"]
+    delta = " ".join(["1"] + ["0"] * 1499)
+    expect("factor", 0, "", out=f"pairs 1\ntruncated false\n{delta} | {delta}\n",
+           stdin="1 1\n" + "".join(f"{n} 0\n" for n in range(2, 1501)))

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from orbitkit import DirichletPoly, factor_search, identities
-from orbitkit.cli import main
 from orbitkit.identities import (
     REGISTRY,
     Identity,
@@ -16,6 +15,7 @@ from orbitkit.identities import (
     run,
 )
 from orbitkit.sequences import Sequence, View
+from helpers import invoke
 
 
 def test_registry_is_populated():
@@ -187,13 +187,13 @@ def _corrupt(monkeypatch, kernel, corruption):
 
 
 @pytest.mark.parametrize("kernel", _KERNEL_FAULTS)
-def test_a_corrupted_kernel_fails_exactly_its_identities(monkeypatch, capsys, kernel):
+def test_a_corrupted_kernel_fails_exactly_its_identities(monkeypatch, kernel):
     corruption, lines = _KERNEL_FAULTS[kernel]
     fails = dict(line.strip().split(": ", 1) for line in lines.strip().splitlines())
     assert fails.keys() <= REGISTRY.keys()
     _corrupt(monkeypatch, kernel, corruption)
-    assert main(["verify", "all"]) == 1
-    out = capsys.readouterr().out
+    code, out, err = invoke("verify", "all")
+    assert (code, err) == (1, "")
     assert out.splitlines() == [f"{name}: {fails.get(name, 'PASS')}" for name in REGISTRY]
 
 
@@ -240,7 +240,7 @@ def test_zeta_factorization_limits_the_search_to_one_extra_pair(monkeypatch):
     assert limits == [17]
 
 
-def test_failure_without_index(monkeypatch, capsys):
+def test_failure_without_index(monkeypatch):
     # run() and `verify NAME` report a check's Mismatch as it was raised, with or without an index
     for index, detail, line in (
         (None, "no index to give", "always-fails: FAIL (no index to give)"),
@@ -252,12 +252,11 @@ def test_failure_without_index(monkeypatch, capsys):
         ident = Identity("always-fails", 1, "fails with or without an index", always_fails)
         monkeypatch.setitem(REGISTRY, ident.name, ident)
         assert run(ident.name) == VerifyResult(ident.name, False, index, detail)
-        assert main(["verify", ident.name]) == 1
-        assert capsys.readouterr().out == line + "\n"
+        assert invoke("verify", ident.name) == (1, line + "\n", "")
 
 
 @pytest.mark.parametrize("error", [RuntimeError("boom"), ValueError("boom")])
-def test_other_exception_in_a_check_is_an_internal_error(monkeypatch, capsys, error):
+def test_other_exception_in_a_check_is_an_internal_error(monkeypatch, error):
     def crashes(n):
         raise error
 
@@ -265,12 +264,10 @@ def test_other_exception_in_a_check_is_an_internal_error(monkeypatch, capsys, er
     monkeypatch.setitem(REGISTRY, name, Identity(name, 1, "raises a defect", crashes))
     with pytest.raises(RuntimeError, match=f"identity {name}: {type(error).__name__}"):
         run(name)
-    assert main(["verify", "all"]) == 4
-    captured = capsys.readouterr()
+    code, out, err = invoke("verify", "all")
+    assert (code, err) == (4, f"internal error: {RuntimeError(f'identity {name}: {error!r}')!r}\n")
     names = list(REGISTRY)
-    assert [line.split(": ")[0] for line in captured.out.splitlines()] == names[: names.index(name)]
-    assert captured.err.startswith("internal error:")
-    assert f"identity {name}" in captured.err
+    assert [line.split(": ")[0] for line in out.splitlines()] == names[: names.index(name)]
 
 
 def test_unknown_name_raises():

@@ -22,7 +22,9 @@ from orbitkit.factorization import factor_search
 from orbitkit.identities import run
 from orbitkit.sequences import s_p
 from orbitkit.transforms import orbit_to_fix
-from helpers import divisors_brute, mobius_brute, phi_brute, sigma_brute
+from helpers import (
+    digit_limit, divisors_brute, mobius_brute, needs_digit_limit, phi_brute, sigma_brute,
+)
 
 
 def test_is_prime_small():
@@ -197,16 +199,16 @@ _INTEGER_ARGUMENTS = {
     "part": (lambda x: part(x, _TWO), "n", 1, None),
     "sigma_k-n": (lambda x: sigma_k(x, 1), "n", 1, None),
     "sigma_k-k": (lambda x: sigma_k(6, x), "k", 0, None),
-    "zeta_shift-n_terms": (lambda x: dirichlet.zeta_shift(1, x), "n_terms", 1, None),
+    "zeta_shift-n_terms": (lambda x: dirichlet.zeta_shift(1, x), "n_terms", 1, sys.maxsize),
     "zeta_shift-shift": (lambda x: dirichlet.zeta_shift(x, 3), "shift", 0, None),
-    "zeta_poly": (dirichlet.zeta_poly, "n_terms", 1, None),
-    "sparse-n_terms": (lambda x: dirichlet.sparse([], x), "n_terms", 1, None),
+    "zeta_poly": (dirichlet.zeta_poly, "n_terms", 1, sys.maxsize),
+    "sparse-n_terms": (lambda x: dirichlet.sparse([], x), "n_terms", 1, sys.maxsize),
     "sparse-index": (lambda x: dirichlet.sparse([(x, 5)], 3), "sparse index", 1, 3),
     "dilate": (lambda x: dirichlet.dilate(dirichlet.zeta_poly(4), x), "k", 1, None),
     "iterate_orbits": (lambda x: operators.iterate_orbits(_Z6, x), "k", 1, None),
     "iterate_fix": (lambda x: operators.iterate_fix(orbit_to_fix(_Z6), x), "k", 1, None),
     **{
-        name: (factory, "n_terms", 1, None)
+        name: (factory, "n_terms", 1, sys.maxsize)
         for name, factory in [
             ("zeta", sequences.zeta),
             ("delta", sequences.delta),
@@ -259,7 +261,12 @@ def _bad_values(least, most):
     pytest.param(call, value, f"{name} must be {rule}", id=f"{label}-{value!r}")
     for label, (call, name, least, most) in _INTEGER_ARGUMENTS.items()
     for value, rule in _bad_values(least, most)
+] + [
+    # past the int/str digit limit, a value is shown by its sign and bit length
+    pytest.param(asymptotics.harmonic_number, -10**5000,
+                 "n must be at least 1, got a negative int of 16610 bits",
+                 id="harmonic_number--10**5000", marks=needs_digit_limit),
 ])
 def test_every_integer_argument_has_one_check(call, value, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with digit_limit(), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
