@@ -283,28 +283,28 @@ def _euler_roundtrip(n: int) -> None:
 
 @identity("multiplicative-iff", 60, "orbit counts multiplicative iff fix counts are")
 def _mult_iff(n: int) -> None:
-    to_fix = ("orbit counts", transforms.orbit_to_fix)
-    to_orbit = ("fix counts", transforms.fix_to_orbit)
     cases = (
-        ("zeta", zeta(n), to_fix),
-        ("delta", delta(n), to_fix),
-        ("id_orbits", id_orbits(n), to_fix),
-        ("geometric p=2", geometric(2, n), to_fix),
-        ("feigenbaum", feigenbaum(n), to_fix),
-        ("ternary", ternary(n), to_fix),
-        ("s_P P=2", s_p(PrimeSet.finite((2,)), n), to_fix),
-        ("s_P P=~2", s_p(PrimeSet.all_except((2,)), n), to_fix),
-        ("golden_mean", golden_mean(n), to_orbit),
-        ("full_shift a=2", full_shift(2, n), to_orbit),
-        ("full_shift a=3", full_shift(3, n), to_orbit),
-        ("dual_rational a=2 b=3", dual_rational(2, 3, n), to_orbit),
-        ("localized_23", localized_23(n), to_orbit),
-        ("s_integer_23", s_integer_23(n), to_orbit),
+        ("zeta", zeta(n)),
+        ("delta", delta(n)),
+        ("id_orbits", id_orbits(n)),
+        ("geometric p=2", geometric(2, n)),
+        ("feigenbaum", feigenbaum(n)),
+        ("ternary", ternary(n)),
+        ("s_P P=2", s_p(PrimeSet.finite((2,)), n)),
+        ("s_P P=~2", s_p(PrimeSet.all_except((2,)), n)),
+        ("golden_mean", golden_mean(n)),
+        ("full_shift a=2", full_shift(2, n)),
+        ("full_shift a=3", full_shift(3, n)),
+        ("dual_rational a=2 b=3", dual_rational(2, 3, n)),
+        ("localized_23", localized_23(n)),
+        ("s_integer_23", s_integer_23(n)),
     )
-    for label, seq, (view, convert) in cases:
+    for label, seq in cases:
         want = transforms.is_multiplicative(seq) is None
-        if (transforms.is_multiplicative(convert(seq)) is None) != want:
-            raise Mismatch(None, f"orbit/fix multiplicativity disagree on the {view} of {label}")
+        other = transforms.convert(seq, View.FIX if seq.view is View.ORBIT else View.ORBIT)
+        if (transforms.is_multiplicative(other) is None) != want:
+            counts = f"{seq.view.value} counts"
+            raise Mismatch(None, f"orbit/fix multiplicativity disagree on the {counts} of {label}")
 
 
 @identity("product-multiplicative", 60, "products of multiplicative systems stay multiplicative")

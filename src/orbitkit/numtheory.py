@@ -20,9 +20,9 @@ def _require_int(value: int, name: str, least: Optional[int] = 1,
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if least is not None and value < least:
-        raise ValueError(f"{name} must be at least {least}, got {_shown(value)}")
+        raise ValueError(f"{name} must be at least {_shown(least)}, got {_shown(value)}")
     if most is not None and value > most:
-        raise ValueError(f"{name} must be at most {most}, got {_shown(value)}")
+        raise ValueError(f"{name} must be at most {_shown(most)}, got {_shown(value)}")
 
 
 def _shown(value) -> str:

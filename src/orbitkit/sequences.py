@@ -9,18 +9,20 @@ The ``view`` tag records how the data is meant to be read:
 
 Transforms and operators check views at their boundaries, so a FIX
 vector is never fed to, say, the Euler transform by accident.
+Each catalogue builtin checks its parameters, then its length in _vector.
 """
 
 from __future__ import annotations
 
 import enum
 import sys
-from math import gcd
-from typing import Mapping, Union
+from itertools import chain, count, islice, repeat
+from math import gcd, prod
+from typing import Iterator, Mapping, Union
 
 from .numtheory import PrimeSet, _require_int, factorize, part
 
-_THREE = PrimeSet.finite((3,))
+_TWO, _THREE = PrimeSet.finite((2,)), PrimeSet.finite((3,))
 
 
 class View(enum.Enum):
@@ -109,105 +111,82 @@ def truncate(s: Sequence, m: int) -> Sequence:
 # ---------------------------------------------------------------------------
 
 
+def _vector(view: View, n_terms: int, terms: Iterator[int]) -> Sequence:
+    """The first n_terms of an endless iterator: every builtin's one length check."""
+    _require_int(n_terms, "n_terms", most=sys.maxsize)
+    return Sequence(view, tuple(islice(terms, n_terms)))
+
+
 def zeta(n_terms: int) -> Sequence:
     """One closed orbit of every length."""
-    _require_int(n_terms, "n_terms", most=sys.maxsize)
-    return Sequence(View.ORBIT, (1,) * n_terms)
+    return _vector(View.ORBIT, n_terms, repeat(1))
 
 
 def delta(n_terms: int) -> Sequence:
     """A single fixed point and nothing else."""
-    _require_int(n_terms, "n_terms", most=sys.maxsize)
-    return Sequence(View.ORBIT, (1,) + (0,) * (n_terms - 1))
+    return _vector(View.ORBIT, n_terms, chain((1,), repeat(0)))
 
 
 def id_orbits(n_terms: int) -> Sequence:
     """n closed orbits of length n."""
-    _require_int(n_terms, "n_terms", most=sys.maxsize)
-    return Sequence(View.ORBIT, tuple(range(1, n_terms + 1)))
+    return _vector(View.ORBIT, n_terms, count(1))
 
 
 def geometric(p: int, n_terms: int) -> Sequence:
     """p**n closed orbits of length n, for a base p >= 2."""
-    _require_int(n_terms, "n_terms", most=sys.maxsize)
     _require_int(p, "p", least=2)
-    return Sequence(View.ORBIT, tuple(p**n for n in range(1, n_terms + 1)))
+    return _vector(View.ORBIT, n_terms, (p**n for n in count(1)))
 
 
 def s_p(primes: PrimeSet, n_terms: int) -> Sequence:
     """Indicator of the integers not divisible by any prime in the set."""
-    _require_int(n_terms, "n_terms", most=sys.maxsize)
-    return Sequence(
-        View.ORBIT,
-        tuple(1 if part(n, primes) == 1 else 0 for n in range(1, n_terms + 1)),
-    )
-
-
-def _at_powers(base: int, n_terms: int) -> Sequence:
-    """One orbit at each length that is a power of base, none elsewhere."""
-    _require_int(n_terms, "n_terms", most=sys.maxsize)
-    terms = [0] * n_terms
-    k = 1
-    while k <= n_terms:
-        terms[k - 1] = 1
-        k *= base
-    return Sequence(View.ORBIT, tuple(terms))
+    return _vector(View.ORBIT, n_terms, (int(part(n, primes) == 1) for n in count(1)))
 
 
 def feigenbaum(n_terms: int) -> Sequence:
     """One orbit at each power-of-two length, none elsewhere."""
-    return _at_powers(2, n_terms)
+    return _vector(View.ORBIT, n_terms, (int(part(n, _TWO) == n) for n in count(1)))
 
 
 def ternary(n_terms: int) -> Sequence:
     """One orbit at each power-of-three length, none elsewhere."""
-    return _at_powers(3, n_terms)
+    return _vector(View.ORBIT, n_terms, (int(part(n, _THREE) == n) for n in count(1)))
 
 
 def golden_mean(n_terms: int) -> Sequence:
     """Fixed-point counts of the golden mean shift: the Lucas numbers."""
-    _require_int(n_terms, "n_terms", most=sys.maxsize)
-    terms = []
-    a, b = 1, 3
-    for _ in range(n_terms):
-        terms.append(a)
-        a, b = b, a + b
-    return Sequence(View.FIX, tuple(terms))
+    def lucas() -> Iterator[int]:
+        a, b = 1, 3
+        while True:
+            yield a
+            a, b = b, a + b
+    return _vector(View.FIX, n_terms, lucas())
 
 
 def full_shift(a: int, n_terms: int) -> Sequence:
     """Fixed-point counts a**n of the full shift on a >= 2 symbols."""
-    _require_int(n_terms, "n_terms", most=sys.maxsize)
     _require_int(a, "a", least=2)
-    return Sequence(View.FIX, tuple(a**n for n in range(1, n_terms + 1)))
+    return _vector(View.FIX, n_terms, (a**n for n in count(1)))
 
 
 def dual_rational(a: int, b: int, n_terms: int) -> Sequence:
     """Fixed-point counts b**n - a**n for coprime 0 < a < b."""
-    _require_int(n_terms, "n_terms", most=sys.maxsize)
     _require_int(a, "a")
     _require_int(b, "b", least=a + 1)
     if gcd(a, b) != 1:
         raise ValueError(f"a and b must be coprime, got gcd({a},{b})={gcd(a, b)}")
-    return Sequence(View.FIX, tuple(b**n - a**n for n in range(1, n_terms + 1)))
+    return _vector(View.FIX, n_terms, (b**n - a**n for n in count(1)))
 
 
 def localized_23(n_terms: int) -> Sequence:
     """Fixed-point counts: the 3-part of 2**n - 1."""
-    _require_int(n_terms, "n_terms", most=sys.maxsize)
-    return Sequence(
-        View.FIX, tuple(part(2**n - 1, _THREE) for n in range(1, n_terms + 1))
-    )
+    return _vector(View.FIX, n_terms, (part(2**n - 1, _THREE) for n in count(1)))
 
 
 def s_integer_23(n_terms: int) -> Sequence:
     """Fixed-point counts: 2**n - 1 with its 3-part removed."""
-    _require_int(n_terms, "n_terms", most=sys.maxsize)
-    terms = []
-    for n in range(1, n_terms + 1):
-        m = 2**n - 1
-        terms.append(m // part(m, _THREE))
-    return Sequence(View.FIX, tuple(terms))
+    mersenne = (2**n - 1 for n in count(1))
+    return _vector(View.FIX, n_terms, (m // part(m, _THREE) for m in mersenne))
 
 
 def s_part_seq(primes: PrimeSet, n_terms: int) -> Sequence:
@@ -217,8 +196,7 @@ def s_part_seq(primes: PrimeSet, n_terms: int) -> Sequence:
     is the orbit count of some map, and that is the view under which
     the dirichlet module consumes it.
     """
-    _require_int(n_terms, "n_terms", most=sys.maxsize)
-    return Sequence(View.ORBIT, tuple(part(n, primes) for n in range(1, n_terms + 1)))
+    return _vector(View.ORBIT, n_terms, (part(n, primes) for n in count(1)))
 
 
 def a_s(primes: PrimeSet, n_terms: int) -> Sequence:
@@ -229,15 +207,11 @@ def a_s(primes: PrimeSet, n_terms: int) -> Sequence:
     p - 1, so (p+1) p^a - 2 is 2 - 2 = 0 modulo p - 1.  Tagged ORBIT,
     like s_part_seq, for the dirichlet module.
     """
-    _require_int(n_terms, "n_terms", most=sys.maxsize)
-    terms = []
-    for n in range(1, n_terms + 1):
-        w = 1
-        for p, a in factorize(n):
-            if primes.contains(p):
-                w *= ((p + 1) * p**a - 2) // (p - 1)
-        terms.append(w)
-    return Sequence(View.ORBIT, tuple(terms))
+    weights = (
+        prod(((p + 1) * p**a - 2) // (p - 1) for p, a in factorize(n) if primes.contains(p))
+        for n in count(1)
+    )
+    return _vector(View.ORBIT, n_terms, weights)
 
 
 _CATALOGUE = {

@@ -149,6 +149,11 @@ _KERNEL_FAULTS = {
         a035109-prefix: FAIL at index 6 (prefix wrong)
         zeta-factorization: FAIL at index 6 (left factor is not a prime-set indicator)
     """),
+    "sequences.feigenbaum": (4, """
+        feigenbaum-sums: FAIL at index 4 (sum to 2^2 is 4, expected 3)
+        feigenbaum-iterate: FAIL at index 2 (feigenbaum iterate wrong for k=2)
+        three-smooth-factor: FAIL at index 4 (product is not the 3-smooth indicator)
+    """),
     # the four kernels that exactly one identity catches
     "dirichlet.div": (1, """
         ttimest-series: FAIL at index 1 (division route disagrees with the product)

@@ -266,6 +266,10 @@ def _bad_values(least, most):
     pytest.param(asymptotics.harmonic_number, -10**5000,
                  "n must be at least 1, got a negative int of 16610 bits",
                  id="harmonic_number--10**5000", marks=needs_digit_limit),
+    # and so is a bound past that limit
+    pytest.param(lambda x: sequences.dual_rational(x, 5, 3), 10**5000,
+                 "b must be at least an int of 16610 bits, got 5",
+                 id="dual_rational-b-10**5000", marks=needs_digit_limit),
 ])
 def test_every_integer_argument_has_one_check(call, value, message):
     with digit_limit(), pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -127,6 +127,8 @@ def test_fix_view_builtins():
     assert dual_rational(2, 3, 6).terms == (1, 5, 19, 65, 211, 665)
     with pytest.raises(ValueError):
         full_shift(1, 4)
+    with pytest.raises(ValueError, match="^a must be at least 2, got 1$"):
+        full_shift(1, 0)  # parameters are checked before the length
     with pytest.raises(ValueError):
         dual_rational(2, 4, 4)  # not coprime
     with pytest.raises(ValueError):
