@@ -17,7 +17,7 @@ from .asymptotics import (
     pi_count,
     pnt_report,
 )
-from .bfile import BFile, BFileFormatError, format_bfile, parse_bfile
+from .bfile import BFile, BFileFormatError, format_bfile, parse_bfile, read_bfile
 from .dirichlet import DirichletPoly, dilate, div, mul, sparse, zeta_poly, zeta_shift
 from .factorization import FactorPair, FactorSearchResult, factor_search
 from .identities import Identity, VerifyResult, run

@@ -1,18 +1,19 @@
 """Reading and writing OEIS-style b-files.
 
 Canonical form is one data line per index, "<index> <value>\n", indices
-contiguous and ascending.  Comment lines starting with '#' and blank
-lines are accepted on input and never written on output, so re-export
-of a canonical file is byte-identical.
+contiguous and ascending.  Comment ('#') and blank lines are accepted on
+input and never written, so re-export of a canonical file is byte-identical.
+read_bfile reads a file in blocks of whole lines, never as one whole text.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import count, islice
-from typing import Iterable, NamedTuple
+from itertools import chain, count, islice
+from typing import Callable, Iterable, NamedTuple
 
 
+_BLOCK = 1 << 16  # bytes read_bfile reads at a time, before it finishes the last line
 _FIELD = re.compile(r"-?[0-9]+")
 _DROP_FIELD_CHARS = str.maketrans("", "", "0123456789-")
 
@@ -66,6 +67,28 @@ def _parse_lines(text: str) -> BFile:
     if not entries:
         raise BFileFormatError("no data lines found")
     return BFile(entries[0][0], tuple(v for _, v in entries))
+
+
+def read_bfile(path: str) -> BFile:
+    """A file parsed in blocks of whole lines, or whole where its blocks cannot stand for it."""
+    try:
+        with open(path, "rb") as fh:
+            blocks = iter(lambda: fh.read(_BLOCK) + fh.readline(), b"")
+            parts = [parse_bfile(block.decode("ascii")) for block in blocks]
+    except (UnicodeDecodeError, BFileFormatError):
+        parts = []
+    if parts and all(b.start == a.start + len(a.values) for a, b in zip(parts, parts[1:])):
+        return BFile(parts[0].start, tuple(chain.from_iterable(part.values for part in parts)))
+    with open(path, encoding="ascii") as fh:
+        return _parse_text(fh.read)
+
+
+def _parse_text(read: Callable[[], str]) -> BFile:
+    try:
+        text = read()
+    except UnicodeDecodeError as exc:
+        raise BFileFormatError(f"byte {exc.start}: input is not ASCII") from None
+    return parse_bfile(text)
 
 
 def format_bfile(values: Iterable[int], start: int = 1) -> str:

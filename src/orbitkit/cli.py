@@ -22,7 +22,7 @@ from itertools import chain, islice, product
 from typing import Optional, Sequence as Vector
 
 from .asymptotics import _require_rate, pnt_report
-from .bfile import _FIELD, BFileFormatError, format_bfile, parse_bfile
+from .bfile import _FIELD, BFileFormatError, _parse_text, format_bfile, read_bfile
 from .factorization import factor_blocks, factor_search
 from .identities import REGISTRY, run
 from .numtheory import PrimeSet, _require_int
@@ -31,7 +31,7 @@ from .sequences import Sequence, View, builtin, builtin_names, truncate
 from .transforms import NotRealizableError, convert
 
 _PRIME_SET_PARAMS = frozenset({"P", "S"})
-_BFILE_SLICE = 1024  # b-file lines formatted per write
+_BFILE_SLICE = 128  # b-file lines formatted per write
 
 
 def parse_prime_set(text: str) -> PrimeSet:
@@ -68,16 +68,9 @@ def _parse_params(pairs: list[str]) -> dict:
     return params
 
 
-def _read_values(path: Optional[str]) -> list[int]:
-    try:
-        if path is None or path == "-":
-            text = sys.stdin.read()
-        else:
-            with open(path, "r", encoding="ascii") as fh:
-                text = fh.read()
-    except UnicodeDecodeError as exc:
-        raise BFileFormatError(f"byte {exc.start}: input is not ASCII") from None
-    return list(parse_bfile(text).values)
+def _read_values(path: Optional[str]) -> tuple[int, ...]:
+    """A file's terms, read in blocks; stdin, which cannot be read twice, is read whole."""
+    return (_parse_text(sys.stdin.read) if path in (None, "-") else read_bfile(path)).values
 
 
 def _read_sequence(path: Optional[str], view: View, n_terms: Optional[int] = None) -> Sequence:
@@ -86,7 +79,7 @@ def _read_sequence(path: Optional[str], view: View, n_terms: Optional[int] = Non
     if n_terms is not None and len(values) < n_terms:
         raise ValueError(f"input has {len(values)} terms but {n_terms} were requested")
     try:
-        seq = Sequence(view, tuple(values))
+        seq = Sequence(view, values)
     except ValueError as exc:  # a negative term
         raise BFileFormatError(str(exc)) from None
     return seq if n_terms is None else truncate(seq, n_terms)
@@ -233,6 +226,17 @@ def _rate(text: str):
     return float(text) if re.fullmatch(_DECIMAL, text) else text
 
 
+def _join_values(argv: list[str]) -> list[str]:
+    """Number flags with a value such as -1_0 as --flag=value, which argparse reads as no option."""
+    out: list[str] = []
+    for token in argv:  # a value led by '-' and shaped like no option string: not -h or --name
+        if out and out[-1] in ("--terms", "--k", "--offset", "--limit", "--h", "--c1") \
+                and token[:1] == "-" and not re.fullmatch(r"-h|--[a-z][a-z0-9]*", token):
+            token = f"{out.pop()}={token}"
+        out.append(token)
+    return out
+
+
 def _check_flags(args) -> None:
     """Each flag's one rule, in this order, before any command reads input or builds a term."""
     for flag, least, most in (("limit", 1, sys.maxsize), ("terms", 1, sys.maxsize), ("k", 1, None),
@@ -313,7 +317,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     if limit is not None:
         sys.set_int_max_str_digits(0)  # exact terms may have any number of digits
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
         _check_flags(args)
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at shutdown

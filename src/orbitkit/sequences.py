@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import enum
 import sys
-from itertools import chain, count, islice, repeat
+from itertools import accumulate, chain, count, islice, repeat
 from math import gcd, prod
+from operator import mul, sub
 from typing import Iterator, Mapping, Union
 
 from .numtheory import PrimeSet, _require_int, factorize, part
@@ -135,7 +136,7 @@ def id_orbits(n_terms: int) -> Sequence:
 def geometric(p: int, n_terms: int) -> Sequence:
     """p**n closed orbits of length n, for a base p >= 2."""
     _require_int(p, "p", least=2)
-    return _vector(View.ORBIT, n_terms, (p**n for n in count(1)))
+    return _vector(View.ORBIT, n_terms, accumulate(repeat(p), mul))
 
 
 def s_p(primes: PrimeSet, n_terms: int) -> Sequence:
@@ -166,7 +167,7 @@ def golden_mean(n_terms: int) -> Sequence:
 def full_shift(a: int, n_terms: int) -> Sequence:
     """Fixed-point counts a**n of the full shift on a >= 2 symbols."""
     _require_int(a, "a", least=2)
-    return _vector(View.FIX, n_terms, (a**n for n in count(1)))
+    return _vector(View.FIX, n_terms, accumulate(repeat(a), mul))
 
 
 def dual_rational(a: int, b: int, n_terms: int) -> Sequence:
@@ -175,7 +176,8 @@ def dual_rational(a: int, b: int, n_terms: int) -> Sequence:
     _require_int(b, "b", least=a + 1)
     if gcd(a, b) != 1:
         raise ValueError(f"a and b must be coprime, got gcd({a},{b})={gcd(a, b)}")
-    return _vector(View.FIX, n_terms, (b**n - a**n for n in count(1)))
+    powers_a, powers_b = accumulate(repeat(a), mul), accumulate(repeat(b), mul)
+    return _vector(View.FIX, n_terms, map(sub, powers_b, powers_a))
 
 
 def localized_23(n_terms: int) -> Sequence:

@@ -58,9 +58,11 @@ def _exact_count(total: int, n: int, what: str) -> int:
 
 
 def _invert_fix_terms(terms: Vector[int]) -> list[int]:
-    """O(n) = (1/n) sum_{d|n} mu(n/d) F(d), exactly: F divided by zeta."""
-    totals = enumerate(dirichlet.over_zeta(terms), start=1)
-    return [_exact_count(total, n, "orbit") for n, total in totals]
+    """O(n) = (1/n) sum_{d|n} mu(n/d) F(d), exactly: F over zeta, each written over its total."""
+    counts = dirichlet.over_zeta(terms)
+    for n, total in enumerate(counts, start=1):
+        counts[n - 1] = _exact_count(total, n, "orbit")
+    return counts
 
 
 def fix_to_orbit(f: Sequence) -> Sequence:

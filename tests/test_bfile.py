@@ -1,7 +1,11 @@
+import tempfile
+import tracemalloc
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from orbitkit import BFile, BFileFormatError, bfile, format_bfile, parse_bfile
+from orbitkit import BFile, BFileFormatError, bfile, cli, format_bfile, parse_bfile, read_bfile
 from helpers import digit_limit, needs_digit_limit, outcome
 
 
@@ -179,3 +183,96 @@ def test_writing_a_term_over_the_digit_limit_names_its_index():
             format_bfile((1, 2, big), 5)
     with digit_limit(0):
         assert format_bfile([1, big]) == "1 1\n2 1" + "0" * 5000 + "\n"
+
+
+def _read_whole(path):
+    """A file read as one text, as parse_bfile reads it: the referee of the block reader."""
+    try:
+        text = Path(path).read_text(encoding="ascii")
+    except UnicodeDecodeError as exc:
+        raise BFileFormatError(f"byte {exc.start}: input is not ASCII") from None
+    return parse_bfile(text)
+
+
+# Edits for the block reader, beside _EDITS: bytes that are not ASCII, a line
+# longer than any block, and comment lines enough to fill a block on their own.
+_BLOCK_EDITS = _EDITS + [
+    _replace(" ", " \u00e9"),
+    lambda lines, i: lines.insert(i, "# \u00e9\n"),  # a comment parse_bfile would accept
+    lambda lines, i: lines.insert(i, "#" + "x" * 100 + "\n"),
+    lambda lines, i: lines.insert(i, "# c\n" * 20),
+    _set_value("7" * 150),
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-(10**40), max_value=10**40), min_size=1, max_size=20),
+    st.integers(min_value=-3, max_value=12),
+    st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(_BLOCK_EDITS)), max_size=3),
+    st.integers(min_value=1, max_value=64),
+)
+def test_block_reader_agrees_with_whole_text(values, start, edits, block):
+    lines = format_bfile(values, start).splitlines(keepends=True)
+    for where, edit in edits:
+        if lines:
+            edit(lines, where % len(lines))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "in.b"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bfile, "_BLOCK", block)
+            assert outcome(read_bfile, path) == outcome(_read_whole, path)
+
+
+_LINES = "".join(f"{n} 1\n" for n in range(3, 40))
+
+
+@pytest.mark.parametrize("text, block, message", [  # a block is block bytes and the rest of a line
+    pytest.param("1 1\n2 x\n" + _LINES + "40 \u00e9\n", 1, "byte 189: input is not ASCII",
+                 id="a late byte that is not ASCII beats an early malformed line"),
+    pytest.param("1 1\n" + _LINES, 1, "line 2: index 3 is not contiguous with 1",
+                 id="a gap between two blocks that each parse"),
+    pytest.param("1 1\n# \u00e9\n2 1\n", 5, "byte 6: input is not ASCII",
+                 id="a comment that is not ASCII, in a block parse_bfile would accept"),
+])
+def test_block_reader_reports_errors_across_blocks(tmp_path, monkeypatch, text, block, message):
+    monkeypatch.setattr(bfile, "_BLOCK", block)
+    path = tmp_path / "in.b"
+    path.write_bytes(text.encode("utf-8"))
+    assert outcome(read_bfile, path) == outcome(_read_whole, path) == (BFileFormatError, message)
+
+
+def test_canonical_blocks_never_reach_the_line_reader(tmp_path, monkeypatch):
+    calls = []
+
+    def refuse(text):
+        raise AssertionError("canonical text went through the per-line reader")
+
+    def counted(text):
+        calls.append(len(text))
+        return parse(text)
+
+    parse = bfile.parse_bfile
+    values = [7**n for n in range(300)]
+    path = tmp_path / "canonical.b"
+    path.write_text(format_bfile(values, 0), encoding="ascii")
+    monkeypatch.setattr(bfile, "_parse_lines", refuse)
+    monkeypatch.setattr(bfile, "parse_bfile", counted)
+    monkeypatch.setattr(bfile, "_BLOCK", 1024)
+    assert read_bfile(path) == BFile(0, tuple(values))
+    assert len(calls) > 1 and sum(calls) == path.stat().st_size
+
+
+def test_reading_a_file_holds_less_than_its_size(tmp_path):
+    # 2,000 terms of about 1,000 digits: the whole text and its tokens would be twice the file
+    path = tmp_path / "big.b"
+    path.write_text(format_bfile(10**999 + 3**n for n in range(2000)), encoding="ascii")
+    tracemalloc.start()
+    try:
+        values = cli._read_values(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(values) == 2000
+    assert peak < path.stat().st_size

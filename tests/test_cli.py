@@ -167,6 +167,11 @@ _ROWS = [
                            ("verify zeta-ones", "--terms", " 3"),
                            ("op iterate --in s3.b", "--k", "+2"), ("factor", "--limit", "1e3"),
                            ("export --in s3.b", "--offset", "+1"))),
+    # a value led by '-' that is no plain negative number still goes to its flag's rule
+    _row("export --offset -1_0", 2, "usage error: --offset must be an integer, got '-1_0'"),
+    _row("growth --name zeta --h -1_0 --c1 1 --terms 3", 2,
+         "usage error: --h must be positive and finite, got '-1_0'"),
+    _row("seq zeta --terms -1e3", 2, "usage error: --terms must be an integer, got '-1e3'"),
     # rates are ASCII decimals, inf, -inf or nan: no +, _, space or non-ASCII digit
     *(_row(f"growth --name zeta --terms 5 {_rates(flag, shlex.quote(v))}", 2,
            f"usage error: {flag} must be positive and finite, got {v!r}")
