@@ -3,11 +3,12 @@
 Canonical form is one data line per index, "<index> <value>\n", indices
 contiguous and ascending.  Comment ('#') and blank lines are accepted on
 input and never written, so re-export of a canonical file is byte-identical.
-read_bfile reads a file in blocks of whole lines, never as one whole text.
+read_bfile reads a file in blocks of whole lines, and whole only where a block fails.
 """
 
 from __future__ import annotations
 
+import io
 import re
 from itertools import chain, count, islice
 from typing import Callable, Iterable, NamedTuple
@@ -70,17 +71,18 @@ def _parse_lines(text: str) -> BFile:
 
 
 def read_bfile(path: str) -> BFile:
-    """A file parsed in blocks of whole lines, or whole where its blocks cannot stand for it."""
-    try:
-        with open(path, "rb") as fh:
-            blocks = iter(lambda: fh.read(_BLOCK) + fh.readline(), b"")
-            parts = [parse_bfile(block.decode("ascii")) for block in blocks]
-    except (UnicodeDecodeError, BFileFormatError):
-        parts = []
-    if parts and all(b.start == a.start + len(a.values) for a, b in zip(parts, parts[1:])):
-        return BFile(parts[0].start, tuple(chain.from_iterable(part.values for part in parts)))
-    with open(path, encoding="ascii") as fh:
-        return _parse_text(fh.read)
+    """Parsed in blocks of whole lines; whole where they cannot stand for it or it cannot seek."""
+    with open(path, "rb") as fh:
+        if fh.seekable():
+            try:
+                blocks = iter(lambda: fh.read(_BLOCK) + fh.readline(), b"")
+                parts = [parse_bfile(block.decode("ascii")) for block in blocks]
+            except (UnicodeDecodeError, BFileFormatError):
+                parts = []
+            if parts and all(b.start == a.start + len(a.values) for a, b in zip(parts, parts[1:])):
+                return BFile(parts[0].start, tuple(chain.from_iterable(p.values for p in parts)))
+            fh.seek(0)  # the same handle: what the blocks read is read again
+        return _parse_text(io.TextIOWrapper(fh, encoding="ascii").read)
 
 
 def _parse_text(read: Callable[[], str]) -> BFile:

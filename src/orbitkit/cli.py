@@ -46,9 +46,7 @@ def parse_prime_set(text: str) -> PrimeSet:
     if not all(map(_FIELD.fullmatch, entries)):
         raise ValueError(f"bad prime set {text!r}: entries must be integers")
     primes = [int(tok) for tok in entries]
-    if cofinite:
-        return PrimeSet.all_except(primes)
-    return PrimeSet.finite(primes)
+    return PrimeSet.all_except(primes) if cofinite else PrimeSet.finite(primes)
 
 
 def _parse_params(pairs: list[str]) -> dict:
@@ -226,26 +224,26 @@ def _rate(text: str):
     return float(text) if re.fullmatch(_DECIMAL, text) else text
 
 
+# Every flag typed _integer or _rate, with its rule: an int's least and most, or None for a rate.
+_NUMBERS = {"--limit": (1, sys.maxsize), "--terms": (1, sys.maxsize), "--k": (1, None),
+            "--offset": (None, None), "--h": None, "--c1": None}  # maxsize: islice's bound
+
+
 def _join_values(argv: list[str]) -> list[str]:
     """Number flags with a value such as -1_0 as --flag=value, which argparse reads as no option."""
     out: list[str] = []
-    for token in argv:  # a value led by '-' and shaped like no option string: not -h or --name
-        if out and out[-1] in ("--terms", "--k", "--offset", "--limit", "--h", "--c1") \
-                and token[:1] == "-" and not re.fullmatch(r"-h|--[a-z][a-z0-9]*", token):
+    for token in argv:  # a value led by '-' that no option string starts: not -h, --name
+        if out and out[-1] in _NUMBERS and token[:1] == "-" and not re.match(r"-h|--[a-z]", token):
             token = f"{out.pop()}={token}"
         out.append(token)
     return out
 
 
 def _check_flags(args) -> None:
-    """Each flag's one rule, in this order, before any command reads input or builds a term."""
-    for flag, least, most in (("limit", 1, sys.maxsize), ("terms", 1, sys.maxsize), ("k", 1, None),
-                              ("offset", None, None)):  # maxsize: islice's bound, longest list
-        if getattr(args, flag, None) is not None:
-            _require_int(getattr(args, flag), f"--{flag}", least, most)
-    for flag in ("h", "c1"):
-        if hasattr(args, flag):
-            _require_rate(getattr(args, flag), f"--{flag}")
+    """Each flag's one rule, in _NUMBERS' order, before any command reads input or builds a term."""
+    for flag, rule in _NUMBERS.items():
+        if (value := getattr(args, flag[2:], None)) is not None:
+            _require_int(value, flag, *rule) if rule else _require_rate(value, flag)
 
 
 def _build_parser() -> argparse.ArgumentParser:

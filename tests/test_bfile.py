@@ -1,3 +1,4 @@
+import os
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -241,6 +242,24 @@ def test_block_reader_reports_errors_across_blocks(tmp_path, monkeypatch, text, 
     path = tmp_path / "in.b"
     path.write_bytes(text.encode("utf-8"))
     assert outcome(read_bfile, path) == outcome(_read_whole, path) == (BFileFormatError, message)
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("1 \u00e9\n" + _LINES, "byte 2: input is not ASCII", id="not ASCII in the first block"),
+    pytest.param("1 x\n" + _LINES, "line 1: non-integer field in '1 x'", id="malformed first block"),
+    pytest.param("1 1\n" + _LINES, "line 2: index 3 is not contiguous with 1", id="a gap"),
+])
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe by /dev/fd/N")
+def test_a_file_that_cannot_seek_is_read_once_and_whole(monkeypatch, text, message):
+    # a pipe, as `--in <(zcat b.txt.gz)` gives: what a block took cannot be read again
+    monkeypatch.setattr(bfile, "_BLOCK", 1)
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, text.encode("utf-8"))
+        os.close(write_end)
+        assert outcome(read_bfile, f"/dev/fd/{read_end}") == (BFileFormatError, message)
+    finally:
+        os.close(read_end)
 
 
 def test_canonical_blocks_never_reach_the_line_reader(tmp_path, monkeypatch):

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import orbitkit
+from orbitkit import cli
 from orbitkit.cli import main, parse_prime_set
 from orbitkit import PrimeSet, Sequence, View, format_bfile, product_orbits
 from orbitkit.identities import REGISTRY
@@ -241,12 +242,24 @@ _ROWS = [
     # argparse's own errors
     _row("seq", 2, "orbitkit seq: error: the following arguments are required: name, --terms"),
     _row("", 2, "orbitkit: error: the following arguments are required: command"),
+    *(_row(f"seq zeta --terms {option}", 2,
+           "orbitkit seq: error: argument --terms: expected one argument")
+      for option in ("--view=fix", "-h=1", "--help")),  # an option after a number flag stays one
 ]
 
 
 @pytest.mark.parametrize("command, code, err, out, stdin", _ROWS)
 def test_contract(expect, command, code, err, out, stdin):
     expect(command, code, err, out, stdin)
+
+
+def test_every_number_flag_has_one_rule():
+    # _check_flags and _join_values read cli._NUMBERS; the parser's number types must agree with it
+    sub = next(a for a in cli._build_parser()._actions if a.choices and a.dest == "command")
+    typed = {flag: action.type for parser in sub.choices.values() for action in parser._actions
+             if action.type in (cli._integer, cli._rate) for flag in action.option_strings}
+    assert typed == {flag: cli._rate if rule is None else cli._integer
+                     for flag, rule in cli._NUMBERS.items()}
 
 
 def test_seq_golden_mean_monoid(expect):
