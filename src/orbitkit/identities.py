@@ -818,7 +818,11 @@ def _three_smooth(n: int) -> None:
 
 @identity("bfile-roundtrip", 50, "b-file export/import round-trips exactly")
 def _bfile_roundtrip(n: int) -> None:
-    [values] = _cases(1616, 1, *[methodcaller("randint", -(10**12), 10**12)] * n)
+    # n terms of 13 digits or fewer, then four that bfile splits: three drawn, and one
+    # whose low halves begin with zeros
+    big = (methodcaller("randint", -(10**d), 10**d) for d in (700, 2000, 4000))
+    [drawn] = _cases(1616, 1, *[methodcaller("randint", -(10**12), 10**12)] * n, *big)
+    values = (*drawn, -(10**3000 + 7))
     for start in (1, 0, 5, -3):
         text = format_bfile(values, start)
         parsed = parse_bfile(text)

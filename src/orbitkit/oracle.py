@@ -11,6 +11,7 @@ the clever routes.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb, gcd
 from typing import Iterator
 
@@ -104,6 +105,11 @@ def _partitions(n: int, largest: int) -> Iterator[tuple[int, ...]]:
             yield (first, *rest)
 
 
+@lru_cache(maxsize=16)  # three-route-monoid asks for orders 1..12 again for each of its cases
+def _partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(_partitions(n, n))
+
+
 def monoid_by_partitions(o: Sequence, order: int) -> Sequence:
     """Weight-n counts of the orbit monoid for n = 1..order, by counting.
 
@@ -117,7 +123,7 @@ def monoid_by_partitions(o: Sequence, order: int) -> Sequence:
     counts = []
     for n in range(1, order + 1):
         total = 0
-        for parts in _partitions(n, n):
+        for parts in _partitions_of(n):
             ways = 1
             for i in set(parts):
                 m = parts.count(i)

@@ -186,6 +186,41 @@ def test_writing_a_term_over_the_digit_limit_names_its_index():
         assert format_bfile([1, big]) == "1 1\n2 1" + "0" * 5000 + "\n"
 
 
+@needs_digit_limit
+def test_writing_a_negative_term_over_the_digit_limit_names_its_index():
+    with digit_limit():
+        with pytest.raises(BFileFormatError, match="^index 2: Exceeds the limit"):
+            format_bfile([1, -(10**5000)])
+        for term in (10**4299, -(10**4300 - 1)):  # 4,300 digits: written
+            assert format_bfile([term]) == f"1 {term}\n"
+    with digit_limit(700):  # a lower limit, reached by a term past bfile._CUT
+        with pytest.raises(BFileFormatError, match="^index 1: Exceeds the limit"):
+            format_bfile([-(10**700)])
+        assert format_bfile([-(10**699)]) == "1 -1" + "0" * 699 + "\n"
+
+
+# A term past bfile._CUT bits is written by splitting it at powers of ten; str() is the
+# referee. Edges: 10^k - 1, 10^k and 10^k + 1 for k on each side of every split size
+# (a multiple of 64) up to 20,000 bits and of the cut's 617 digits, powers of two at the
+# cut, low halves that begin with zeros (one of them split again), and zero.
+_SPLIT_EDGES = [0, 1, 10**3000 + 7, 10**3000 + 3**2000, *(2**bfile._CUT + d for d in (-1, 0, 1)),
+                *(10**(k + e) + d for k in (*range(64, 6100, 64), 617) for e in (-1, 0, 1)
+                  for d in (-1, 0, 1))]
+
+
+def test_split_writes_what_str_writes_at_its_edges():
+    with digit_limit(0):
+        for term in _SPLIT_EDGES + [-t for t in _SPLIT_EDGES]:
+            assert format_bfile([term]) == f"1 {term}\n"
+
+
+@settings(max_examples=300)  # about a third of the terms drawn are past the cut
+@given(st.integers(0, 20_000).flatmap(lambda bits: st.integers(-(2**bits), 2**bits)))
+def test_split_writes_what_str_writes(term):
+    with digit_limit(0):
+        assert format_bfile([term], 0) == f"0 {term}\n"
+
+
 def _read_whole(path):
     """A file read as one text, as parse_bfile reads it: the referee of the block reader."""
     try:

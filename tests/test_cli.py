@@ -474,6 +474,18 @@ def test_unexpected_exception_is_internal_error(expect, monkeypatch):
     expect("seq zeta --terms 3 --view fix", 4, "internal error: RuntimeError('boom')")
 
 
+def test_seq_writes_terms_past_the_split_cut_as_str_does(expect):
+    # 2^n is past bfile._CUT bits from n = 2049 on: the last four of twenty 128-line slices
+    expect("seq full_shift --param a=2 --terms 2500", 0, "",
+           out="".join(f"{n} {2**n}\n" for n in range(1, 2501)))
+
+
+def test_import_writes_a_negative_3000_digit_term_as_str_does(expect, tmp_path):
+    term = -(10**2999 + 3**2000)  # the low halves of its split begin with zeros
+    (tmp_path / "neg.b").write_text(f"0 5\n1 {term}\n2 7\n", encoding="ascii")
+    expect("import --in neg.b", 0, "", out=f"1 5\n2 {term}\n3 7\n")
+
+
 def test_import_term_with_5001_digits(expect):
     text = "1 " + "7" * 5001 + "\n"
     with digit_limit():

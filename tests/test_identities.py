@@ -63,6 +63,13 @@ def _four_more_at_four(real):
     return fake
 
 
+def _unpadded(real):
+    """bfile._digits that drops its width: a low half loses its leading zeros."""
+    def fake(v, width=0):
+        return real(v)
+    return fake
+
+
 # kernel "module.name": (corruption, the FAIL lines `verify all` prints at default terms).
 # A corruption k adds 1 to output term k, None adds 1 to every value of an int-valued
 # kernel, and a callable maps the real kernel to its fake. A new kernel is one new row.
@@ -202,6 +209,10 @@ _KERNEL_FAULTS = {
     """),
     "operators.iterate_fix": (1, """
         iterate-fix-consistency: FAIL at index 2 (orbit count at n=2 is not integral)
+    """),
+    # the b-file writer's split of a term past bfile._CUT, referred to int() by the round trip
+    "bfile._digits": (_unpadded, """
+        bfile-roundtrip: FAIL (round-trip failed for offset 1)
     """),
 }
 
@@ -349,7 +360,7 @@ _CASE_STREAMS = {
     "oracle-count-fixed": (1500, "270fed7cd480d772"),
     "oracle-product": (2400, "ceabe536a9fd9230"),
     "oracle-iterate": (1300, "2cc94c4eaffaf99d"),
-    "bfile-roundtrip": (50, "00d0d3341c219d76"),
+    "bfile-roundtrip": (53, "322ed5e8b2bdf19a"),  # its first 50 draws are those of 00d0d3341c219d76
 }
 
 
