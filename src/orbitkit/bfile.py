@@ -3,18 +3,17 @@
 Canonical form is one data line per index, "<index> <value>\n", indices
 contiguous and ascending.  Comment ('#') and blank lines are accepted on
 input and never written, so re-export of a canonical file is byte-identical.
-read_bfile reads a file in blocks of whole lines, and whole only where a block fails.
+read_bfile reads a stream that can seek in blocks of whole lines, one that cannot whole.
 format_bfile writes a term past _CUT bits by splitting it at powers of ten, not by one str().
 """
 
 from __future__ import annotations
 
-import io
 import re
 import sys
 from functools import lru_cache
 from itertools import chain, count, islice
-from typing import Callable, Iterable, NamedTuple
+from typing import BinaryIO, Iterable, NamedTuple
 
 
 _BLOCK = 1 << 16  # bytes read_bfile reads at a time, before it finishes the last line
@@ -74,27 +73,22 @@ def _parse_lines(text: str) -> BFile:
     return BFile(entries[0][0], tuple(v for _, v in entries))
 
 
-def read_bfile(path: str) -> BFile:
-    """Parsed in blocks of whole lines; whole where they cannot stand for it or it cannot seek."""
-    with open(path, "rb") as fh:
-        if fh.seekable():
-            try:
-                blocks = iter(lambda: fh.read(_BLOCK) + fh.readline(), b"")
-                parts = [parse_bfile(block.decode("ascii")) for block in blocks]
-            except (UnicodeDecodeError, BFileFormatError):
-                parts = []
-            if parts and all(b.start == a.start + len(a.values) for a, b in zip(parts, parts[1:])):
-                return BFile(parts[0].start, tuple(chain.from_iterable(p.values for p in parts)))
-            fh.seek(0)  # the same handle: what the blocks read is read again
-        return _parse_text(io.TextIOWrapper(fh, encoding="ascii").read)
-
-
-def _parse_text(read: Callable[[], str]) -> BFile:
+def read_bfile(fh: BinaryIO) -> BFile:
+    """From fh's position: in blocks of whole lines if fh can seek and they parse; else whole."""
+    if fh.seekable():
+        begin = fh.tell()
+        try:
+            blocks = iter(lambda: fh.read(_BLOCK) + fh.readline(), b"")
+            parts = [parse_bfile(block.decode("ascii")) for block in blocks]
+        except (UnicodeDecodeError, BFileFormatError):
+            parts = []
+        if parts and all(b.start == a.start + len(a.values) for a, b in zip(parts, parts[1:])):
+            return BFile(parts[0].start, tuple(chain.from_iterable(p.values for p in parts)))
+        fh.seek(begin)  # the same stream: what the blocks read is read again
     try:
-        text = read()
+        return parse_bfile(fh.read().decode("ascii"))
     except UnicodeDecodeError as exc:
         raise BFileFormatError(f"byte {exc.start}: input is not ASCII") from None
-    return parse_bfile(text)
 
 
 def format_bfile(values: Iterable[int], start: int = 1) -> str:

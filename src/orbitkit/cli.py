@@ -1,14 +1,15 @@
 """Command-line front end.
 
-Sequences travel as OEIS-style b-files: one ``index value`` pair per
-line, indices contiguous, comments starting with ``#`` ignored on
-input.  Internally everything is one-indexed; offsets other than 1
-exist only at the export/import boundary.
+Sequences travel as OEIS-style b-files: one ``index value`` pair per line, indices
+contiguous, comments starting with ``#`` ignored on input.  ``--in FILE`` and stdin (no
+``--in``, or ``--in -``) are read as ASCII bytes by one reader, bfile.read_bfile.
+Internally everything is one-indexed; offsets other than 1 exist only at the
+export/import boundary.
 
-Exit codes: 0 success, 1 verification failure (including
-non-realizable inputs), 2 usage error, 3 malformed input (including
-non-ASCII bytes and negative terms read as orbit, fix or monoid data),
-4 internal error; a reader closing stdout early (``| head``) is no error.
+Exit codes: 0 success, 1 verification failure (including non-realizable inputs), 2 usage
+error (including a closed stdin to read), 3 malformed input (including non-ASCII bytes
+and negative terms read as orbit, fix or monoid data), 4 internal error; a reader
+closing stdout early (``| head``) is no error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from itertools import chain, islice, product
 from typing import Optional, Sequence as Vector
 
 from .asymptotics import _require_rate, pnt_report
-from .bfile import _FIELD, BFileFormatError, _parse_text, format_bfile, read_bfile
+from .bfile import _FIELD, BFileFormatError, format_bfile, read_bfile
 from .factorization import factor_blocks, factor_search
 from .identities import REGISTRY, run
 from .numtheory import PrimeSet, _require_int
@@ -67,8 +68,13 @@ def _parse_params(pairs: list[str]) -> dict:
 
 
 def _read_values(path: Optional[str]) -> tuple[int, ...]:
-    """A file's terms, read in blocks; stdin, which cannot be read twice, is read whole."""
-    return (_parse_text(sys.stdin.read) if path in (None, "-") else read_bfile(path)).values
+    """The terms of the b-file at path, or on stdin (left open) for no path or '-'."""
+    if path not in (None, "-"):
+        with open(path, "rb") as fh:
+            return read_bfile(fh).values
+    if sys.stdin is None:  # started with no fd 0, as `orbitkit import <&-` is
+        raise ValueError("no stdin to read; give the input with --in FILE")
+    return read_bfile(sys.stdin.buffer).values
 
 
 def _read_sequence(path: Optional[str], view: View, n_terms: Optional[int] = None) -> Sequence:

@@ -41,18 +41,23 @@ def digit_limit(digits=None):
 
 
 class _Unread(io.StringIO):
-    def read(self, *args):
+    @property
+    def buffer(self):
         raise AssertionError("stdin was read")
 
 
 def invoke(*argv, stdin=""):
     """Run the orbitkit CLI in-process: (exit code, stdout, stderr).
 
-    stdin is the text it reads (None: a stdin that fails the test if read).  The
+    stdin is what it reads, bytes or text written as UTF-8, on a buffer that can seek
+    as a file redirected to stdin can (None: a stdin that fails the test if read).  The
     runner takes no pytest fixture, so it also runs inside hypothesis's @given.
     """
+    if isinstance(stdin, str):
+        stdin = stdin.encode("utf-8")
+    stdin = _Unread() if stdin is None else io.TextIOWrapper(io.BytesIO(stdin))
     out, err = io.StringIO(), io.StringIO()
-    with mock.patch("sys.stdin", _Unread() if stdin is None else io.StringIO(stdin)), \
+    with mock.patch("sys.stdin", stdin), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()

@@ -1,13 +1,15 @@
+import io
 import os
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from orbitkit import BFile, BFileFormatError, bfile, cli, format_bfile, parse_bfile, read_bfile
-from helpers import digit_limit, needs_digit_limit, outcome
+from helpers import digit_limit, invoke, needs_digit_limit, outcome
 
 
 def test_format_canonical():
@@ -132,6 +134,15 @@ _EDITS = [
 ]
 
 
+def _edited(values, start, edits):
+    """format_bfile's text, with each (position, edit) applied to its list of lines."""
+    lines = format_bfile(values, start).splitlines(keepends=True)
+    for where, edit in edits:
+        if lines:
+            edit(lines, where % len(lines))
+    return "".join(lines)
+
+
 @settings(max_examples=400)
 @given(
     st.lists(st.integers(min_value=-(10**40), max_value=10**40), min_size=1, max_size=8),
@@ -139,11 +150,7 @@ _EDITS = [
     st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(_EDITS)), max_size=3),
 )
 def test_one_pass_reader_agrees_with_line_reader(values, start, edits):
-    lines = format_bfile(values, start).splitlines(keepends=True)
-    for where, edit in edits:
-        if lines:
-            edit(lines, where % len(lines))
-    text = "".join(lines)
+    text = _edited(values, start, edits)
     assert outcome(parse_bfile, text) == outcome(bfile._parse_lines, text)
 
 
@@ -221,13 +228,20 @@ def test_split_writes_what_str_writes(term):
         assert format_bfile([term], 0) == f"0 {term}\n"
 
 
-def _read_whole(path):
-    """A file read as one text, as parse_bfile reads it: the referee of the block reader."""
+def _read_whole(data):
+    """Bytes read as one text, as parse_bfile reads it: the referee of the block reader."""
     try:
-        text = Path(path).read_text(encoding="ascii")
+        text = data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise BFileFormatError(f"byte {exc.start}: input is not ASCII") from None
     return parse_bfile(text)
+
+
+class _Unseekable(io.BytesIO):
+    """Bytes on a stream that cannot seek, as a pipe's."""
+
+    def seekable(self):
+        return False
 
 
 # Edits for the block reader, beside _EDITS: bytes that are not ASCII, a line
@@ -249,16 +263,46 @@ _BLOCK_EDITS = _EDITS + [
     st.integers(min_value=1, max_value=64),
 )
 def test_block_reader_agrees_with_whole_text(values, start, edits, block):
-    lines = format_bfile(values, start).splitlines(keepends=True)
-    for where, edit in edits:
-        if lines:
-            edit(lines, where % len(lines))
+    data = _edited(values, start, edits).encode("utf-8")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bfile, "_BLOCK", block)
+        whole = outcome(_read_whole, data)
+        assert outcome(read_bfile, io.BytesIO(data)) == whole
+        assert outcome(read_bfile, _Unseekable(data)) == whole
+
+
+def _stdin_reads_as_the_file(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.b"
-        path.write_bytes("".join(lines).encode("utf-8"))
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(bfile, "_BLOCK", block)
-            assert outcome(read_bfile, path) == outcome(_read_whole, path)
+        path.write_bytes(data)
+        assert invoke("import", stdin=data) == invoke("import", "--in", str(path))
+
+
+# Bytes that a locale text layer over stdin decodes where --in refuses them, and two
+# that every reader treats alike.
+@pytest.mark.parametrize("data", [
+    pytest.param(b"# \xc3\xa9\n1 1\n2 3\n", id="a comment that is not ASCII"),
+    pytest.param("1\u00a01\n".encode(), id="a no-break space"),
+    pytest.param(b"1 \xff\n", id="a byte that is not UTF-8"),
+    pytest.param(b"\xef\xbb\xbf1 1\n2 3\n", id="a UTF-8 BOM"),
+    pytest.param(b"1 1\r\n2 3\r\n", id="CRLF"),
+    pytest.param(b"1 1\n3 3\n", id="a gap"),
+])
+def test_stdin_reads_as_a_file_does(data):
+    _stdin_reads_as_the_file(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.integers(min_value=-(10**40), max_value=10**40), min_size=1, max_size=20),
+    st.integers(min_value=-3, max_value=12),
+    st.lists(st.tuples(st.integers(min_value=0), st.sampled_from(_BLOCK_EDITS)), max_size=3),
+    st.integers(min_value=1, max_value=64),
+)
+def test_stdin_reads_as_a_file_does_after_edits(values, start, edits, block):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bfile, "_BLOCK", block)
+        _stdin_reads_as_the_file(_edited(values, start, edits).encode("utf-8"))
 
 
 _LINES = "".join(f"{n} 1\n" for n in range(3, 40))
@@ -276,7 +320,9 @@ def test_block_reader_reports_errors_across_blocks(tmp_path, monkeypatch, text, 
     monkeypatch.setattr(bfile, "_BLOCK", block)
     path = tmp_path / "in.b"
     path.write_bytes(text.encode("utf-8"))
-    assert outcome(read_bfile, path) == outcome(_read_whole, path) == (BFileFormatError, message)
+    with open(path, "rb") as fh:
+        got = outcome(read_bfile, fh)
+    assert got == outcome(_read_whole, path.read_bytes()) == (BFileFormatError, message)
 
 
 @pytest.mark.parametrize("text, message", [
@@ -284,17 +330,34 @@ def test_block_reader_reports_errors_across_blocks(tmp_path, monkeypatch, text, 
     pytest.param("1 x\n" + _LINES, "line 1: non-integer field in '1 x'", id="malformed first block"),
     pytest.param("1 1\n" + _LINES, "line 2: index 3 is not contiguous with 1", id="a gap"),
 ])
-@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="names a pipe by /dev/fd/N")
 def test_a_file_that_cannot_seek_is_read_once_and_whole(monkeypatch, text, message):
-    # a pipe, as `--in <(zcat b.txt.gz)` gives: what a block took cannot be read again
+    # a pipe, as `--in <(zcat b.txt.gz)` or `zcat b.txt.gz |` gives: what a block took
+    # cannot be read again
     monkeypatch.setattr(bfile, "_BLOCK", 1)
     read_end, write_end = os.pipe()
-    try:
-        os.write(write_end, text.encode("utf-8"))
-        os.close(write_end)
-        assert outcome(read_bfile, f"/dev/fd/{read_end}") == (BFileFormatError, message)
-    finally:
-        os.close(read_end)
+    os.write(write_end, text.encode("utf-8"))
+    os.close(write_end)
+    with open(read_end, "rb") as fh:
+        assert outcome(read_bfile, fh) == (BFileFormatError, message)
+
+
+@pytest.mark.parametrize("text, result", [
+    pytest.param("1 1\n2 x\n" + _LINES, (BFileFormatError, "line 2: non-integer field in '2 x'"),
+                 id="a malformed block"),
+    pytest.param("1 1\n# \u00e9\n2 1\n", (BFileFormatError, "byte 6: input is not ASCII"),
+                 id="a block that is not ASCII"),
+    pytest.param("5 1\n6 2\n", BFile(5, (1, 2)), id="blocks that parse"),
+])
+def test_a_stream_is_read_from_where_it_stands(tmp_path, monkeypatch, text, result):
+    # as a shell leaves stdin after `read` took a line: the bytes before k are neither
+    # parsed nor counted, by the blocks or by the whole text read again from k
+    monkeypatch.setattr(bfile, "_BLOCK", 1)
+    head = "# \u00e9\n0 x\n".encode()
+    path = tmp_path / "in.b"
+    path.write_bytes(head + text.encode("utf-8"))
+    with open(path, "rb") as fh:
+        fh.seek(len(head))
+        assert outcome(read_bfile, fh) == result
 
 
 def test_canonical_blocks_never_reach_the_line_reader(tmp_path, monkeypatch):
@@ -314,19 +377,23 @@ def test_canonical_blocks_never_reach_the_line_reader(tmp_path, monkeypatch):
     monkeypatch.setattr(bfile, "_parse_lines", refuse)
     monkeypatch.setattr(bfile, "parse_bfile", counted)
     monkeypatch.setattr(bfile, "_BLOCK", 1024)
-    assert read_bfile(path) == BFile(0, tuple(values))
+    with open(path, "rb") as fh:
+        assert read_bfile(fh) == BFile(0, tuple(values))
     assert len(calls) > 1 and sum(calls) == path.stat().st_size
 
 
-def test_reading_a_file_holds_less_than_its_size(tmp_path):
+def test_reading_a_file_holds_less_than_its_size(tmp_path, monkeypatch):
     # 2,000 terms of about 1,000 digits: the whole text and its tokens would be twice the file
     path = tmp_path / "big.b"
     path.write_text(format_bfile(10**999 + 3**n for n in range(2000)), encoding="ascii")
-    tracemalloc.start()
-    try:
-        values = cli._read_values(str(path))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert len(values) == 2000
-    assert peak < path.stat().st_size
+    with open(path, "rb") as fh:
+        monkeypatch.setattr("sys.stdin", SimpleNamespace(buffer=fh))  # as `< big.b` gives
+        for where in (str(path), None):
+            tracemalloc.start()
+            try:
+                values = cli._read_values(where)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert len(values) == 2000
+            assert peak < path.stat().st_size

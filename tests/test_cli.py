@@ -219,12 +219,12 @@ _ROWS = [
     _row("transform fix-to-orbit --in fix2.b", 1,
          "verification failure: orbit count at n=2 is not integral"),
     _row("transform orbit-to-fix --in accent.b", 3, "input error: byte 6: input is not ASCII"),
-    # stdin arrives as text, checked line by line
-    *(_row(cmd, 3, f"input error: line {n}: non-integer field in {line!r}", stdin=text)
-      for cmd, text, n, line in (("transform orbit-to-fix", "1 1\n2 \u00e9\n", 2, "2 \u00e9"),
-                                 ("import", "1 1_000\n", 1, "1 1_000"),
-                                 ("import", "1 1\n2 +4\n", 2, "2 +4"),
-                                 ("import", "1 1\n2 \u0663\n", 2, "2 \u0663"))),
+    # stdin is read by the reader --in uses: bytes checked as ASCII, then fields line by line
+    *(_row(cmd, 3, "input error: byte 6: input is not ASCII", stdin=text)
+      for cmd, text in (("transform orbit-to-fix", "1 1\n2 \u00e9\n"),
+                        ("import", "1 1\n2 \u0663\n"))),
+    *(_row("import", 3, f"input error: line {n}: non-integer field in {line!r}", stdin=text)
+      for text, n, line in (("1 1_000\n", 1, "1 1_000"), ("1 1\n2 +4\n", 2, "2 +4"))),
     _row("import", 0, "", out="1 1\n2 3\n3 4\n",
          stdin="# zeta, fix view\r\n1 1\r\n\r\n2 3\r\n3 4\r\n"),
     _row("import", 3, "input error: line 2: index 3 is not contiguous with 1",
@@ -539,6 +539,21 @@ def test_closed_stdout_is_not_an_error(tmp_path):
     assert proc.stderr.read() == b""
     proc.stderr.close()
     assert proc.wait(timeout=120) == 0
+
+
+@pytest.mark.skipif(os.name != "posix", reason="closes the child's fd 0 before it runs")
+def test_closed_stdin_is_a_usage_error():
+    # like `orbitkit import <&-`: the interpreter starts with no fd 0, so sys.stdin is None
+    src = str(Path(orbitkit.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-m", "orbitkit.cli", "import"],
+        capture_output=True,
+        preexec_fn=lambda: os.closerange(0, 1),
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, b"", b"usage error: no stdin to read; give the input with --in FILE\n")
 
 
 def test_factor_deep_input(expect):
