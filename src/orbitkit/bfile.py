@@ -3,12 +3,12 @@
 Canonical form is one data line per index, "<index> <value>\n", indices
 contiguous and ascending.  Comment ('#') and blank lines are accepted on
 input and never written, so re-export of a canonical file is byte-identical.
-read_bfile reads a stream that can seek in blocks of whole lines, one that cannot whole.
 format_bfile writes a term past _CUT bits by splitting it at powers of ten, not by one str().
 """
 
 from __future__ import annotations
 
+import io
 import re
 import sys
 from functools import lru_cache
@@ -74,17 +74,18 @@ def _parse_lines(text: str) -> BFile:
 
 
 def read_bfile(fh: BinaryIO) -> BFile:
-    """From fh's position: in blocks of whole lines if fh can seek and they parse; else whole."""
-    if fh.seekable():
-        begin = fh.tell()
-        try:
-            blocks = iter(lambda: fh.read(_BLOCK) + fh.readline(), b"")
-            parts = [parse_bfile(block.decode("ascii")) for block in blocks]
-        except (UnicodeDecodeError, BFileFormatError):
-            parts = []
-        if parts and all(b.start == a.start + len(a.values) for a, b in zip(parts, parts[1:])):
-            return BFile(parts[0].start, tuple(chain.from_iterable(p.values for p in parts)))
-        fh.seek(begin)  # the same stream: what the blocks read is read again
+    """From fh's position in blocks of whole lines (a pipe held first); whole if they fail."""
+    if not fh.seekable():
+        fh = io.BytesIO(fh.read())
+    begin = fh.tell()
+    try:
+        blocks = iter(lambda: fh.read(_BLOCK) + fh.readline(), b"")
+        parts = [parse_bfile(block.decode("ascii")) for block in blocks]
+    except (UnicodeDecodeError, BFileFormatError):
+        parts = []
+    if parts and all(b.start == a.start + len(a.values) for a, b in zip(parts, parts[1:])):
+        return BFile(parts[0].start, tuple(chain.from_iterable(p.values for p in parts)))
+    fh.seek(begin)  # the same stream: what the blocks read is read again
     try:
         return parse_bfile(fh.read().decode("ascii"))
     except UnicodeDecodeError as exc:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import comb, gcd
 from typing import Iterator
 
-from .numtheory import _require_int, divisors, euler_phi, mobius
+from .numtheory import _require_int, divisors
 from .sequences import Sequence, View
 
 
@@ -136,18 +136,17 @@ def monoid_by_partitions(o: Sequence, order: int) -> Sequence:
 def cyclic_subgroup_count(n: int) -> int:
     """Number of cyclic subgroups of Z/n x Z/n.
 
-    For each d | n there are sum_{e|d} mu(d/e) e^2 elements of exact
-    order d, and each cyclic subgroup of order d owns phi(d) of them.
+    Over the divisors d of n, ascending: d*d less the counts at the smaller
+    divisors of d is the number of elements of exact order d, and d less
+    theirs is phi(d), the number that each cyclic subgroup of order d owns.
     """
     _require_int(n, "n")
-    total = 0
+    exact, phi = {}, {}  # keyed by the divisors of n seen so far
     for d in divisors(n):
-        exact = sum(mobius(d // e) * e * e for e in divisors(d))
-        q, r = divmod(exact, euler_phi(d))
-        if r:
-            raise AssertionError(f"order count not divisible by phi at d={d}")
-        total += q
-    return total
+        smaller = [e for e in exact if d % e == 0]
+        exact[d] = d * d - sum(exact[e] for e in smaller)
+        phi[d] = d - sum(phi[e] for e in smaller)
+    return sum(exact[d] // phi[d] for d in exact)
 
 
 def primitive_lattice_count(n: int) -> int:

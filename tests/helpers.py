@@ -49,13 +49,16 @@ class _Unread(io.StringIO):
 def invoke(*argv, stdin=""):
     """Run the orbitkit CLI in-process: (exit code, stdout, stderr).
 
-    stdin is what it reads, bytes or text written as UTF-8, on a buffer that can seek
-    as a file redirected to stdin can (None: a stdin that fails the test if read).  The
-    runner takes no pytest fixture, so it also runs inside hypothesis's @given.
+    stdin is what it reads: bytes or text written as UTF-8, on a buffer that can seek
+    as a file redirected to stdin can, or an open binary stream, read as it is (None: a
+    stdin that fails the test if read).  The runner takes no pytest fixture, so it also
+    runs inside hypothesis's @given.
     """
     if isinstance(stdin, str):
         stdin = stdin.encode("utf-8")
-    stdin = _Unread() if stdin is None else io.TextIOWrapper(io.BytesIO(stdin))
+    if isinstance(stdin, bytes):
+        stdin = io.BytesIO(stdin)
+    stdin = _Unread() if stdin is None else io.TextIOWrapper(stdin)
     out, err = io.StringIO(), io.StringIO()
     with mock.patch("sys.stdin", stdin), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -1,6 +1,7 @@
 import io
 import os
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -275,7 +276,9 @@ def _stdin_reads_as_the_file(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "in.b"
         path.write_bytes(data)
-        assert invoke("import", stdin=data) == invoke("import", "--in", str(path))
+        from_file = invoke("import", "--in", str(path))
+        assert invoke("import", stdin=data) == from_file
+        assert invoke("import", stdin=_Unseekable(data)) == from_file  # as a pipe gives
 
 
 # Bytes that a locale text layer over stdin decodes where --in refuses them, and two
@@ -331,8 +334,8 @@ def test_block_reader_reports_errors_across_blocks(tmp_path, monkeypatch, text, 
     pytest.param("1 1\n" + _LINES, "line 2: index 3 is not contiguous with 1", id="a gap"),
 ])
 def test_a_file_that_cannot_seek_is_read_once_and_whole(monkeypatch, text, message):
-    # a pipe, as `--in <(zcat b.txt.gz)` or `zcat b.txt.gz |` gives: what a block took
-    # cannot be read again
+    # a pipe, as `--in <(zcat b.txt.gz)` or `zcat b.txt.gz |` gives, cannot be read twice:
+    # its bytes are read from it once and held, then read in blocks and whole as a file's are
     monkeypatch.setattr(bfile, "_BLOCK", 1)
     read_end, write_end = os.pipe()
     os.write(write_end, text.encode("utf-8"))
@@ -382,18 +385,40 @@ def test_canonical_blocks_never_reach_the_line_reader(tmp_path, monkeypatch):
     assert len(calls) > 1 and sum(calls) == path.stat().st_size
 
 
+def _traced_peak(read, source):
+    """read(source), and the most memory that tracemalloc saw held while it ran."""
+    tracemalloc.start()
+    try:
+        return read(source), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_reading_a_file_holds_less_than_its_size(tmp_path, monkeypatch):
     # 2,000 terms of about 1,000 digits: the whole text and its tokens would be twice the file
     path = tmp_path / "big.b"
     path.write_text(format_bfile(10**999 + 3**n for n in range(2000)), encoding="ascii")
+    size = path.stat().st_size
     with open(path, "rb") as fh:
         monkeypatch.setattr("sys.stdin", SimpleNamespace(buffer=fh))  # as `< big.b` gives
         for where in (str(path), None):
-            tracemalloc.start()
-            try:
-                values = cli._read_values(where)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            values, peak = _traced_peak(cli._read_values, where)
             assert len(values) == 2000
-            assert peak < path.stat().st_size
+            assert peak < size
+    # a pipe's bytes are held, then read in blocks as a file's are: beside them, only one
+    # block's text and tokens
+    data = path.read_bytes()
+    read_end, write_end = os.pipe()
+
+    def feed():
+        with open(write_end, "wb") as pipe:
+            pipe.write(data)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    with open(read_end, "rb") as fh:
+        got, peak = _traced_peak(read_bfile, fh)
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert len(got.values) == 2000
+    assert peak < 2 * size
