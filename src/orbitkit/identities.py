@@ -6,9 +6,9 @@ their cases from `_cases`, one `random.Random` per fixed seed, so
 identical invocations give identical results.  A check returns None
 when its identity holds and otherwise raises `Mismatch` with the first
 failing index, when there is one.  Every elementwise comparison goes
-through `_expect`, which finds that index; a Dirichlet series identity
-multiplies out its two sides' factors in `_same_series`, which compares
-them there.  Checks that are not elementwise equality (multiplicativity
+through `_expect`, which finds that index; a divisor sum is a Dirichlet
+product, whose factors `_same_series` reads as plain coefficients and
+multiplies out.  Checks that are not elementwise equality (multiplicativity
 witnesses, envelopes, orderings, counts) raise `Mismatch` themselves.
 `run` alone turns either outcome into a `VerifyResult`.  It reports a
 kernel's `NotRealizableError` as a failure at its index, and re-raises
@@ -125,8 +125,8 @@ def _expect(expected, actual, detail: str) -> None:
 
 
 def _same_series(lhs: list, rhs: list, detail: str) -> dirichlet.DirichletPoly:
-    """`_expect` equal products of the lhs and rhs Dirichlet factors; return the rhs product."""
-    left, right = (reduce(dirichlet.mul, factors) for factors in (lhs, rhs))
+    """`_expect` equal Dirichlet products of each side's coefficient iterables; return the rhs's."""
+    left, right = (reduce(dirichlet.mul, map(dirichlet.DirichletPoly, side)) for side in (lhs, rhs))
     _expect(left, right, detail)
     return right
 
@@ -431,15 +431,14 @@ def _ttimest(n: int) -> None:
     prod = operators.product_orbits(zeta(n), zeta(n))
     prefix = (1, 4, 5, 10, 7, 20, 9, 22)
     _expect(prefix[:n], prod.terms[: len(prefix)], "self-product prefix wrong")
-    direct = (
-        sum(sigma_k(d, 1) * mobius(m // d) ** 2 for d in divisors(m)) for m in range(1, n + 1)
-    )
-    _expect(direct, prod, "squarefree-weighted sigma sum disagrees")
-    z, series = dirichlet.zeta_poly(n), dirichlet.DirichletPoly(prod.terms)
-    rhs = _same_series([series, dirichlet.dilate(z, 2)], [z, z, dirichlet.zeta_shift(1, n)],
+    sigma = (sigma_k(m, 1) for m in range(1, n + 1))
+    squarefree = (mobius(m) ** 2 for m in range(1, n + 1))
+    _same_series([sigma, squarefree], [prod], "squarefree-weighted sigma sum disagrees")
+    z = dirichlet.zeta_poly(n)
+    rhs = _same_series([prod, dirichlet.dilate(z, 2)], [z, z, dirichlet.zeta_shift(1, n)],
                        "cleared-denominator identity fails")
     quotient = dirichlet.div(rhs, dirichlet.dilate(z, 2))
-    _expect(quotient, series, "division route disagrees with the product")
+    _expect(quotient, prod, "division route disagrees with the product")
 
 
 @identity("fix-series", 100, "orbit series times zeta(s+1) is the fix series")
@@ -447,8 +446,8 @@ def _fix_series(n: int) -> None:
     # cleared form: coefficient m times m, so m*O(m) times zeta(s) is F(m)
     for f in (golden_mean(n), full_shift(2, n)):
         o = transforms.fix_to_orbit(f)
-        m_o = dirichlet.DirichletPoly(m * o[m] for m in range(1, n + 1))
-        _expect(dirichlet.mul(m_o, dirichlet.zeta_poly(n)), f, "fix series identity fails")
+        cleared = (m * t for m, t in enumerate(o, start=1))
+        _same_series([cleared, dirichlet.zeta_poly(n)], [f], "fix series identity fails")
 
 
 @identity("iterate-id2-series", 100, "squared identity map has series (5 - 2/2^s) zeta(s-1)")
@@ -456,8 +455,8 @@ def _iterate_id2(n: int) -> None:
     t = operators.iterate_orbits(id_orbits(2 * n), 2)
     prefix = (5, 8, 15, 16, 25, 24, 35, 32)
     _expect(prefix[:n], t.terms[: len(prefix)], "second-iterate prefix wrong")
-    _same_series([dirichlet.DirichletPoly(t.terms)],
-                 [_sparse([(1, 5), (2, -2)], n), dirichlet.zeta_shift(1, n)], "sparse form fails")
+    _same_series([t], [_sparse([(1, 5), (2, -2)], n), dirichlet.zeta_shift(1, n)],
+                 "sparse form fails")
 
 
 @identity("iterate-idp-series", 60, "prime iterates of the identity map in sparse form")
@@ -467,13 +466,13 @@ def _iterate_idp(n: int) -> None:
         expected = (p * p * m if m % p == 0 else (p * p + 1) * m for m in range(1, n + 1))
         _expect(expected, t, f"pointwise form fails for p={p}")
         rhs = [_sparse([(1, p * p + 1), (p, -p)], n), dirichlet.zeta_shift(1, n)]
-        _same_series([dirichlet.DirichletPoly(t.terms)], rhs, f"sparse form fails for p={p}")
+        _same_series([t], rhs, f"sparse form fails for p={p}")
 
 
 def _local_factors(s: Sequence, primes, sign: int, detail: str) -> None:
     """Check series(s) * prod_p (1 - p/p^s) == zeta(s) * prod_p (1 + sign/p^s) over `primes`."""
     n = len(s)
-    lhs = [dirichlet.DirichletPoly(s.terms), *(_sparse([(1, 1), (p, -p)], n) for p in primes)]
+    lhs = [s, *(_sparse([(1, 1), (p, -p)], n) for p in primes)]
     rhs = [dirichlet.zeta_poly(n), *(_sparse([(1, 1), (p, sign)], n) for p in primes)]
     _same_series(lhs, rhs, detail)
 
@@ -514,23 +513,19 @@ def _ramanujan(n: int) -> None:
         u = Sequence(View.ORBIT, tuple(m**a for m in range(1, n + 1)))
         v = Sequence(View.ORBIT, tuple(m**b for m in range(1, n + 1)))
         prod = operators.product_orbits(u, v)
-        totals = (
-            sum(mobius(m // d) * sigma_k(d, a + 1) * sigma_k(d, b + 1) for d in divisors(m))
-            for m in range(1, n + 1)
-        )
+        sigmas = (sigma_k(m, a + 1) * sigma_k(m, b + 1) for m in range(1, n + 1))
         cleared = (m * t for m, t in enumerate(prod, start=1))
-        _expect(totals, cleared, f"pointwise form fails for (a,b)=({a},{b})")
-        lhs = [dirichlet.DirichletPoly(prod.terms),
-               dirichlet.dilate(dirichlet.zeta_shift(a + b, n), 2)]
+        _same_series([sigmas, map(mobius, range(1, n + 1))], [cleared],
+                     f"pointwise form fails for (a,b)=({a},{b})")
+        lhs = [prod, dirichlet.dilate(dirichlet.zeta_shift(a + b, n), 2)]
         rhs = [dirichlet.zeta_shift(c, n) for c in (a, b, a + b + 1)]
         _same_series(lhs, rhs, f"series identity fails for (a,b)=({a},{b})")
 
 
 @identity("mobius-series", 50, "zeta times the mu series is the identity")
 def _mobius_series(n: int) -> None:
-    mu = dirichlet.DirichletPoly(mobius(m) for m in range(1, n + 1))
-    _same_series([dirichlet.zeta_poly(n), mu], [dirichlet.sparse([(1, 1)], n)],
-                 "zeta * mu != delta")
+    _same_series([dirichlet.zeta_poly(n), map(mobius, range(1, n + 1))],
+                 [dirichlet.sparse([(1, 1)], n)], "zeta * mu != delta")
 
 
 # ---------------------------------------------------------------------------
@@ -734,9 +729,9 @@ def _oracle_iterate(n: int) -> None:
 
 @identity("cyclic-subgroups", 60, "cyclic subgroup counts equal the self-product")
 def _cyclic_subgroups(n: int) -> None:
-    # Gauss's sum_{d|m} phi(d) = m first: the count below divides by phi
-    phi_sums = (sum(map(euler_phi, divisors(m))) for m in range(1, n + 1))
-    _expect(range(1, n + 1), phi_sums, "divisor sum of phi is not n")
+    # Gauss's sum_{d|m} phi(d) = m, that is phi * zeta = id; the count finds its own phi
+    phi = map(euler_phi, range(1, n + 1))
+    _same_series([range(1, n + 1)], [phi, dirichlet.zeta_poly(n)], "divisor sum of phi is not n")
     prod = operators.product_orbits(zeta(n), zeta(n))
     counts = map(oracle.cyclic_subgroup_count, range(1, n + 1))
     _expect(counts, prod, "cyclic subgroup count disagrees")
@@ -744,11 +739,9 @@ def _cyclic_subgroups(n: int) -> None:
 
 @identity("primitive-lattices", 60, "primitive lattice counts sum to the self-product")
 def _primitive_lattices(n: int) -> None:
-    prod = operators.product_orbits(zeta(n), zeta(n))
-    totals = (
-        sum(oracle.primitive_lattice_count(d) for d in divisors(m)) for m in range(1, n + 1)
-    )
-    _expect(totals, prod, "lattice divisor sum disagrees")
+    z = zeta(n)
+    counts = map(oracle.primitive_lattice_count, range(1, n + 1))
+    _same_series([counts, z], [operators.product_orbits(z, z)], "lattice divisor sum disagrees")
 
 
 @identity("lattice-prime-powers", 4, "prime-power lattice sums have the closed form")

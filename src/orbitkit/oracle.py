@@ -6,17 +6,23 @@ len(o).  Products and iterates are then one simulation, _trace: a
 translation of the torus Z/d1 x Z/d2, followed point by point.  The
 paper's gcd/lcm product sum referees the fixed-point route of the
 operators module.  Slow and dumb on purpose: these are the referees for
-the clever routes.
+the clever routes, and they walk their own divisors (`_divisors`).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from typing import Iterator
 
-from .numtheory import _require_int, divisors
+from .numtheory import _require_int
 from .sequences import Sequence, View
+
+
+def _divisors(n: int) -> list[int]:
+    """Divisors of n, ascending: a trial of every d up to isqrt(n), then their cofactors."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def count_fixed(o: Sequence, n: int) -> int:
@@ -24,7 +30,7 @@ def count_fixed(o: Sequence, n: int) -> int:
     length divides n."""
     o.require_view(View.ORBIT, "oracle.count_fixed")
     _require_int(n, "n", most=len(o))
-    return sum(d * o[d] for d in divisors(n))
+    return sum(d * o[d] for d in _divisors(n))
 
 
 def product_by_lcm(u: Sequence, v: Sequence) -> Sequence:
@@ -35,7 +41,7 @@ def product_by_lcm(u: Sequence, v: Sequence) -> Sequence:
     n_out = min(len(u), len(v))
     terms = []
     for n in range(1, n_out + 1):
-        divs = divisors(n)
+        divs = _divisors(n)
         total = 0
         for d1 in divs:
             for d2 in divs:
@@ -142,7 +148,7 @@ def cyclic_subgroup_count(n: int) -> int:
     """
     _require_int(n, "n")
     exact, phi = {}, {}  # keyed by the divisors of n seen so far
-    for d in divisors(n):
+    for d in _divisors(n):
         smaller = [e for e in exact if d % e == 0]
         exact[d] = d * d - sum(exact[e] for e in smaller)
         phi[d] = d - sum(phi[e] for e in smaller)
@@ -157,7 +163,7 @@ def primitive_lattice_count(n: int) -> int:
     """
     _require_int(n, "n")
     total = 0
-    for a in divisors(n):
+    for a in _divisors(n):
         c = n // a
         g = gcd(a, c)
         for b in range(a):

@@ -12,6 +12,7 @@ from orbitkit.identities import (
     Mismatch,
     VerifyResult,
     _expect,
+    _same_series,
     run,
 )
 from orbitkit.sequences import Sequence, View
@@ -63,6 +64,13 @@ def _four_more_at_four(real):
     return fake
 
 
+def _largest_divisor_plus_one(real):
+    """numtheory.divisors with 1 added to the largest divisor, which then divides nothing."""
+    def fake(n):
+        return [*real(n)[:-1], n + 1]
+    return fake
+
+
 def _last_plus_one(real):
     """bfile._parse_lines with 1 added to the last value it reads."""
     def fake(text):
@@ -110,6 +118,21 @@ _KERNEL_FAULTS = {
         sp-zeta-product-series: FAIL at index 4 (closed form fails for P=(2,))
         ramanujan-series: FAIL at index 4 (series identity fails for (a,b)=(0,1))
         mobius-series: FAIL at index 4 (zeta * mu != delta)
+        cyclic-subgroups: FAIL at index 4 (divisor sum of phi is not n)
+    """),
+    # every divisor sum of verify is a Dirichlet product through _same_series
+    "dirichlet.mul": (4, """
+        ttimest-series: FAIL at index 4 (squarefree-weighted sigma sum disagrees)
+        fix-series: FAIL at index 4 (fix series identity fails)
+        iterate-id2-series: FAIL at index 4 (sparse form fails)
+        iterate-idp-series: FAIL at index 4 (sparse form fails for p=2)
+        s-part-interpolation: FAIL at index 12 (interpolation fails for S=(2, 3))
+        rational-a-series: FAIL at index 12 (a_S identity fails for S=(2, 3))
+        sp-zeta-product-series: FAIL at index 20 (closed form fails for P=(2,))
+        ramanujan-series: FAIL at index 4 (pointwise form fails for (a,b)=(0,1))
+        mobius-series: FAIL at index 4 (zeta * mu != delta)
+        cyclic-subgroups: FAIL at index 4 (divisor sum of phi is not n)
+        primitive-lattices: FAIL at index 4 (lattice divisor sum disagrees)
     """),
     # fix_to_orbit writes its orbit counts over this kernel's list, in place
     "dirichlet.over_zeta": (_four_more_at_four, """
@@ -136,6 +159,11 @@ _KERNEL_FAULTS = {
         primitive-lattices: FAIL at index 4 (lattice divisor sum disagrees)
         zeta-factorization: FAIL at index 4 (pair does not multiply back to zeta)
         three-smooth-factor: FAIL at index 4 (product is not the 3-smooth indicator)
+    """),
+    # only the checks of divisors itself walk divisors; the oracle walks its own
+    "numtheory.divisors": (_largest_divisor_plus_one, """
+        mobius-sum: FAIL at index 1 (divisor sum of mu is not the indicator of 1)
+        lattice-prime-powers: FAIL at index 1 (closed form fails at 2^0)
     """),
     # Gauss's sum of phi(d) over d | m breaks at m = 1; the oracle's count finds phi on its own
     "numtheory.euler_phi": (None, """
@@ -301,6 +329,16 @@ def test_expect_takes_generators():
     assert info.value.args == (1, "detail")
     with pytest.raises(Mismatch) as info:
         _expect((m for m in range(1, 4)), (m for m in range(1, 3)), "detail")
+    assert info.value.args == (3, "detail")
+
+
+def test_same_series_reads_plain_iterables_as_factors():
+    # Gauss: phi * zeta = id, with the factors as a range, a list, a Sequence, a generator
+    phi, ones = [1, 1, 2, 2, 4, 2], Sequence(View.ORBIT, (1,) * 6)
+    assert _same_series([range(1, 7)], [phi, ones], "equal") == DirichletPoly(range(1, 7))
+    assert _same_series([iter(phi), ones], [range(1, 7)], "equal") == DirichletPoly(range(1, 7))
+    with pytest.raises(Mismatch) as info:
+        _same_series([range(1, 7)], [[1, 1, 3, 2, 4, 2], ones], "detail")
     assert info.value.args == (3, "detail")
 
 

@@ -17,11 +17,25 @@ from orbitkit import (
     simulate_iterate,
     simulate_product,
 )
+from orbitkit import numtheory, oracle
 from orbitkit.oracle import monoid_by_partitions, product_by_lcm
 from orbitkit.sequences import delta, zeta
-from helpers import iterate_brute, product_brute, random_orbit
+from helpers import divisors_brute, iterate_brute, product_brute, random_orbit
 
 from math import gcd
+
+
+def test_divisors_by_trial_match_brute():
+    for n in range(1, 2001):
+        assert oracle._divisors(n) == divisors_brute(n)
+
+
+def test_oracle_calls_no_numtheory_kernel():
+    # a referee that called the kernels it referees would fail with them
+    bound = {name for name, value in vars(oracle).items()
+             if getattr(value, "__module__", None) == numtheory.__name__}
+    assert bound == {"_require_int"}
+    assert numtheory not in vars(oracle).values()
 
 
 def test_count_fixed_matches_transform():
