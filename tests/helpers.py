@@ -154,6 +154,20 @@ def iterate_brute(o: Sequence, k: int):
     return out
 
 
+def is_multiplicative_brute(terms):
+    """The witness is_multiplicative must return: (1, 1) when s(1) != 1, else the
+    lexicographically smallest coprime pair 2 <= m < n with s(mn) != s(m) s(n),
+    mn within range, found by trying every pair; None when there is none."""
+    if terms[0] != 1:
+        return (1, 1)
+    n_max = len(terms)
+    for m in range(2, n_max + 1):
+        for n in range(m + 1, n_max + 1):
+            if m * n <= n_max and gcd(m, n) == 1 and terms[m * n - 1] != terms[m - 1] * terms[n - 1]:
+                return (m, n)
+    return None
+
+
 def factor_search_dfs(target: Sequence, n_terms: int, limit: int):
     """Factor pairs of target to length n_terms as (pairs, truncated): a
     depth-first search over every index, each pair a (left, right) of

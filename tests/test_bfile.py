@@ -207,13 +207,18 @@ def test_writing_a_negative_term_over_the_digit_limit_names_its_index():
         assert format_bfile([-(10**699)]) == "1 -1" + "0" * 699 + "\n"
 
 
-# A term past bfile._CUT bits is written by splitting it at powers of ten; str() is the
-# referee. Edges: 10^k - 1, 10^k and 10^k + 1 for k on each side of every split size
-# (a multiple of 64) up to 20,000 bits and of the cut's 617 digits, powers of two at the
-# cut, low halves that begin with zeros (one of them split again), and zero.
+# A term past bfile._CUT bits is split at 10^k = 5^k 2^k by a divmod of its top bits by 5^k
+# and a shift of k bits; str() is the referee. Edges: 10^k - 1, 10^k and 10^k + 1 for k on
+# each side of every split size (a multiple of 64) up to 20,000 bits and of the cut's 617
+# digits, powers of two at the cut, low halves that begin with zeros (one of them split
+# again), and zero. Then q 10^k + r, which is split at exactly k: its low half r has k low
+# bits all ones (2^k - 1) or all zeros (2^k, 10^k - 2^k), and a 5^k remainder of 0, 1 or 5^k - 1.
 _SPLIT_EDGES = [0, 1, 10**3000 + 7, 10**3000 + 3**2000, *(2**bfile._CUT + d for d in (-1, 0, 1)),
                 *(10**(k + e) + d for k in (*range(64, 6100, 64), 617) for e in (-1, 0, 1)
-                  for d in (-1, 0, 1))]
+                  for d in (-1, 0, 1)),
+                *(q * 10**k + r for k in range(320, 6081, 64)
+                  for q in (10**(k + 1), 7 * 10**(k + 19), 10**(k + 20) - 1)
+                  for r in (2**k - 1, 2**k, 10**k - 2**k))]
 
 
 def test_split_writes_what_str_writes_at_its_edges():

@@ -263,6 +263,10 @@ _KERNEL_FAULTS = {
     "bfile._digits": (_unpadded, """
         bfile-roundtrip: FAIL (round-trip failed for offset 1)
     """),
+    # the powers of five it divides by, cached: a wrong power must not pass either
+    "bfile._power_of_five": (None, """
+        bfile-roundtrip: FAIL (round-trip failed for offset 1)
+    """),
     # the per-line reader, which only a file with comments or blank lines reaches
     "bfile._parse_lines": (_last_plus_one, """
         bfile-roundtrip: FAIL (comments and blank lines not ignored)

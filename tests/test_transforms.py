@@ -26,6 +26,7 @@ from helpers import (
     euler_inverse_brute,
     fix_from_orbit_brute,
     invert_fix_brute,
+    is_multiplicative_brute,
     random_orbit,
 )
 
@@ -253,6 +254,40 @@ def test_multiplicative_witnesses():
 def test_multiplicative_short_sequences_vacuous():
     # nothing to check below length 6 when s(1) = 1
     assert is_multiplicative(Sequence(View.ORBIT, (1, 9, 9, 9, 9))) is None
+
+
+def test_multiplicative_checks_the_top_edge_of_its_pair_loop():
+    # at exactly six terms (2, 3) is the one pair, with 2 * 3 = n_max
+    assert is_multiplicative(Sequence(View.ORBIT, (1, 2, 3, 4, 5, 7))) == (2, 3)
+    assert is_multiplicative(Sequence(View.ORBIT, (1, 2, 3, 4, 5, 6))) is None
+
+
+@st.composite
+def _perturbed_multiplicative(draw):
+    """A multiplicative sequence of up to 60 terms, its values at prime powers drawn,
+    then often one term moved: anywhere, or at m * (n_max // m), the top of m's pairs."""
+    n_max = draw(st.integers(1, 60))
+    terms = [1]
+    for n in range(2, n_max + 1):
+        p = next(d for d in range(2, n + 1) if n % d == 0)
+        q = p
+        while n % (q * p) == 0:
+            q *= p
+        terms.append(draw(st.integers(0, 9)) if q == n else terms[q - 1] * terms[n // q - 1])
+    top_edges = [m * (n_max // m) for m in range(2, n_max + 1) if m * (m + 1) <= n_max]
+    places = [st.none(), st.integers(1, n_max)]
+    if top_edges:
+        places.append(st.sampled_from(top_edges))
+    index = draw(st.one_of(places))
+    if index is not None:
+        terms[index - 1] += draw(st.integers(1, 5))
+    return terms
+
+
+@settings(max_examples=300)
+@given(_perturbed_multiplicative())
+def test_multiplicative_witness_matches_every_pair_tried(terms):
+    assert is_multiplicative(Sequence(View.ORBIT, tuple(terms))) == is_multiplicative_brute(terms)
 
 
 def test_convert_all_views():
