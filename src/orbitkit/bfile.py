@@ -3,7 +3,7 @@
 Canonical form is one data line per index, "<index> <value>\n", indices
 contiguous and ascending.  Comment ('#') and blank lines are accepted on
 input and never written, so re-export of a canonical file is byte-identical.
-format_bfile splits a term past _CUT bits at powers of ten 5^k 2^k: a divmod and a shift.
+format_bfile splits a term past _CUT bits at 10^k = 5^k 2^k: a divmod by 5^k and a shift.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ def _digits(v: int, width: int = 0) -> str:
     if v.bit_length() <= _CUT:
         return str(v).zfill(width)
     k = (v.bit_length() * 1233 >> 13) & -64  # half its digits, rounded down to a multiple of 64
-    high, low = divmod(v >> k, _power_of_five(k))
-    return _digits(high, width - k) + _digits(low << k | v & ((1 << k) - 1), k)
+    high, r = divmod(v >> k, _power_of_five(k))
+    return _digits(high, width - k) + _digits(r << k | v & ((1 << k) - 1), k)
 
 
 @lru_cache(maxsize=64)  # k is a multiple of 64: 25 powers for terms up to 3,600 digits
