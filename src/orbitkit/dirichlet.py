@@ -17,10 +17,10 @@ import sys
 from operator import add, sub
 from typing import Iterable
 
-from .numtheory import _require_int, primes_upto
+from .numtheory import _Value, _require_int, primes_upto
 
 
-class DirichletPoly:
+class DirichletPoly(_Value):
     """Int coefficients of 1^{-s} .. N^{-s}."""
 
     __slots__ = ("coeffs",)
@@ -36,27 +36,13 @@ class DirichletPoly:
         if len(self.coeffs) < 1:
             raise ValueError("a Dirichlet polynomial needs at least one coefficient")
 
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"DirichletPoly(coeffs={self.coeffs!r})"
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"DirichletPoly is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
     def __len__(self) -> int:
         return len(self.coeffs)
 
     def __getitem__(self, n: int) -> int:
         """Coefficient of n^{-s} (one-based)."""
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise TypeError(f"index must be an int, got {n!r}")
         if not 1 <= n <= len(self.coeffs):
             raise IndexError(f"index {n} outside 1..{len(self.coeffs)}")
         return self.coeffs[n - 1]

@@ -5,6 +5,7 @@ and is_prime: whole-vector divisor sums run in dirichlet, so these per-n
 calls serve only identities, referees and the factor search.  The one
 sieve lists the primes for dirichlet's Euler-product kernels.  Exact ints.
 _require_int is the one check of every integer argument in the library.
+_Value is the one frozen-value base of PrimeSet, Sequence and DirichletPoly.
 """
 
 from __future__ import annotations
@@ -122,7 +123,30 @@ def euler_phi(n: int) -> int:
     return out
 
 
-class PrimeSet:
+class _Value:
+    """Frozen, and checks nothing: equal to its own class only, hashed and printed by its fields."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __hash__(self) -> int:
+        return hash(tuple(getattr(self, name) for name in self.__slots__))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __setattr__(self, name, *_):
+        raise AttributeError(f"{self.__class__.__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class PrimeSet(_Value):
     """A finite or cofinite set of primes.
 
     With ``cofinite=False`` the set is exactly ``primes``; with
@@ -144,22 +168,6 @@ class PrimeSet:
             if p <= last:
                 raise ValueError("listed primes must be distinct and ascending")
             last = p
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.cofinite, self.primes) == (other.cofinite, other.primes)
-
-    def __hash__(self) -> int:
-        return hash((self.cofinite, self.primes))
-
-    def __repr__(self) -> str:
-        return f"PrimeSet(cofinite={self.cofinite!r}, primes={self.primes!r})"
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"PrimeSet is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
 
     @classmethod
     def finite(cls, primes: Iterable[int] = ()) -> "PrimeSet":

@@ -21,7 +21,7 @@ from math import gcd, prod
 from operator import mul, sub
 from typing import Iterator, Mapping, Union
 
-from .numtheory import PrimeSet, _require_int, factorize, part
+from .numtheory import PrimeSet, _Value, _require_int, factorize, part
 
 _TWO, _THREE = PrimeSet.finite((2,)), PrimeSet.finite((3,))
 
@@ -36,7 +36,7 @@ class ViewError(ValueError):
     """A sequence arrived with the wrong view tag."""
 
 
-class Sequence:
+class Sequence(_Value):
     """One-indexed vector of nonnegative integers plus a view tag."""
 
     __slots__ = ("view", "terms")
@@ -63,22 +63,6 @@ class Sequence:
                 raise TypeError(f"term {i} is not an int: {t!r}")
             if t < 0:
                 raise ValueError(f"term {i} is negative: {t}")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.view is other.view and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash((self.view, self.terms))
-
-    def __repr__(self) -> str:
-        return f"Sequence(view={self.view!r}, terms={self.terms!r})"
-
-    def __setattr__(self, name, *_):
-        raise AttributeError(f"Sequence is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
 
     def __len__(self) -> int:
         return len(self.terms)

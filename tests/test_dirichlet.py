@@ -58,6 +58,10 @@ def test_one_indexed_getitem():
         p[0]
     with pytest.raises(IndexError):
         p[3]
+    for index in (True, 1.0, "1"):
+        with pytest.raises(TypeError) as info:
+            p[index]
+        assert str(info.value) == f"index must be an int, got {index!r}"
 
 
 def test_rejects_empty():

@@ -71,6 +71,26 @@ def _largest_divisor_plus_one(real):
     return fake
 
 
+def _orbit_25_doubled(real):
+    """transforms.fix_to_orbit with orbit count 25 doubled, once there are at least 25 terms."""
+    def fake(f):
+        out = real(f)
+        if len(out) < 25:
+            return out
+        return Sequence(out.view, (*out.terms[:24], 2 * out[25], *out.terms[25:]))
+    return fake
+
+
+def _third_as_second(real):
+    """sequences.dual_rational with term 3 set equal to term 2: b^n - a^n stops increasing."""
+    def fake(a, b, n_terms):
+        out = real(a, b, n_terms)
+        if len(out) < 3:
+            return out
+        return Sequence(out.view, (*out.terms[:2], out[2], *out.terms[3:]))
+    return fake
+
+
 def _last_plus_one(real):
     """bfile._parse_lines with 1 added to the last value it reads."""
     def fake(text):
@@ -233,6 +253,26 @@ _KERNEL_FAULTS = {
         zeta-factorization: FAIL (found 0 pairs, expected 16)
         three-smooth-factor: FAIL at index 2 (orbit count at n=2 is not integral)
     """),
+    # the growth checks read orbit counts from index 25 on, past every other fixed prefix
+    "transforms.fix_to_orbit": (_orbit_25_doubled, """
+        fix-orbit-roundtrip: FAIL at index 25 (fix_to_orbit(orbit_to_fix(o)) != o)
+        product-multiplicative: FAIL at index 50 (product lost multiplicativity, witness (2, 25))
+        product-identity: FAIL at index 25 (delta is not the product identity)
+        product-associative: FAIL at index 25 (product is not associative)
+        product-fix-consistency: FAIL at index 25 (lcm product disagrees with the fix-count route)
+        iterate-fix-consistency: FAIL at index 25 (iterate routes disagree for k=1)
+        ttimest-series: FAIL at index 25 (squarefree-weighted sigma sum disagrees)
+        fix-series: FAIL at index 25 (fix series identity fails)
+        sp-zeta-product-series: FAIL at index 25 (closed form fails for P=(2,))
+        ramanujan-series: FAIL at index 25 (pointwise form fails for (a,b)=(0,1))
+        golden-mean-monoid: FAIL at index 25 (monoid counts are not Fibonacci(n+1))
+        orbit-growth: FAIL at index 25 (pointwise growth bound fails for a=2)
+        mertens-cauchy: FAIL at index 25 (increment outside the geometric envelope)
+        mertens-drift: FAIL (drift 4.00e-02 exceeds 1e-3)
+        pnt-ratio: FAIL at index 25 (ratio 1.5458 outside 1 +- 0.200)
+        cyclic-subgroups: FAIL at index 25 (cyclic subgroup count disagrees)
+        primitive-lattices: FAIL at index 25 (lattice divisor sum disagrees)
+    """),
     "sequences.s_p": (6, """
         zeta-ones: FAIL at index 6 (s_P with no primes is not zeta)
         sp-multiplicative: FAIL at index 6 (s_P not multiplicative for PrimeSet(cofinite=False, primes=()): witness (2, 3))
@@ -245,6 +285,12 @@ _KERNEL_FAULTS = {
         feigenbaum-sums: FAIL at index 4 (sum to 2^2 is 4, expected 3)
         feigenbaum-iterate: FAIL at index 2 (feigenbaum iterate wrong for k=2)
         three-smooth-factor: FAIL at index 4 (product is not the 3-smooth indicator)
+    """),
+    # term 3 equal to term 2: the growth check sees it, and inverting it gives no orbit count at 3
+    "sequences.dual_rational": (_third_as_second, """
+        dual-rational-growth: FAIL at index 3 ((1,2) not strictly increasing at 3)
+        multiplicative-iff: FAIL at index 3 (orbit count at n=3 is not integral)
+        dual-rational-monoid: FAIL at index 3 (orbit count at n=3 is not integral)
     """),
     # the four kernels that exactly one identity catches
     "dirichlet.div": (1, """

@@ -212,6 +212,23 @@ def test_containers_are_immutable_values(make, names, text):
     assert hash(a) == hash(b) and len({a, b}) == 1
 
 
+# pairs that differ in one field, or in their class only
+UNEQUAL = [
+    (Sequence(View.ORBIT, [1, 2]), Sequence(View.ORBIT, [1, 3])),
+    (Sequence(View.ORBIT, [1, 2]), Sequence(View.FIX, [1, 2])),
+    (DirichletPoly([1, -2]), DirichletPoly([1, 2])),
+    (PrimeSet(True, (2,)), PrimeSet(True, (3,))),
+    (PrimeSet.finite((2,)), PrimeSet.all_except((2,))),
+    (Sequence(View.ORBIT, [1, 2]), DirichletPoly([1, 2])),
+]
+
+
+@pytest.mark.parametrize("a, b", UNEQUAL)
+def test_containers_that_differ_are_unequal_values(a, b):
+    assert a != b and b != a and not a == b
+    assert repr(a) != repr(b) and len({a, b}) == 2
+
+
 class TestBuiltinDispatch:
     def test_names_sorted(self):
         names = builtin_names()
