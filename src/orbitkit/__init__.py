@@ -43,6 +43,7 @@ from .oracle import (
     count_fixed,
     cyclic_subgroup_count,
     primitive_lattice_count,
+    product_formula,
     simulate_iterate,
     simulate_product,
 )
@@ -65,6 +66,5 @@ from .transforms import (
     is_multiplicative,
     orbit_to_fix,
 )
-from .zetaseries import product_formula
 
 __version__ = "0.1.0"

@@ -24,7 +24,7 @@ from functools import reduce
 from operator import methodcaller
 from typing import Callable, NamedTuple, Optional
 
-from . import asymptotics, dirichlet, operators, oracle, transforms, zetaseries
+from . import asymptotics, dirichlet, operators, oracle, transforms
 from .bfile import format_bfile, parse_bfile
 from .factorization import factor_search
 from .numtheory import (
@@ -553,7 +553,7 @@ def _three_route(n: int) -> None:
     for o in cases:
         g = transforms.euler(o)
         m = min(len(g), PARTITION_TERMS)
-        _expect(g, zetaseries.product_formula(o), "zeta function routes disagree")
+        _expect(g, oracle.product_formula(o), "zeta function routes disagree")
         _expect(g.terms[:m], oracle.monoid_by_partitions(o, m), "zeta function routes disagree")
 
 
@@ -584,7 +584,7 @@ def _monoid_closed_form(f: Sequence, expected: list, detail: str) -> None:
     """Monoid counts of fixed-point data f by the Euler route and by the product route."""
     o = transforms.fix_to_orbit(f)
     _expect(expected, transforms.euler(o), detail)
-    _expect(expected, zetaseries.product_formula(o), f"product route: {detail}")
+    _expect(expected, oracle.product_formula(o), f"product route: {detail}")
 
 
 @identity("golden-mean-monoid", 30, "golden mean monoid counts are shifted Fibonacci")
@@ -635,7 +635,7 @@ def _s_integer(n: int) -> None:
     g = transforms.euler(o)
     monoid_prefix = (1, 1, 3, 4, 10, 13, 33, 56)
     _expect(monoid_prefix, g.terms[:8], "monoid prefix wrong")
-    _expect(g, zetaseries.product_formula(o), "product route disagrees with the recurrence")
+    _expect(g, oracle.product_formula(o), "product route disagrees with the recurrence")
 
 
 # ---------------------------------------------------------------------------

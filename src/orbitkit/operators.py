@@ -51,7 +51,7 @@ def iterate_fix(f: Sequence, k: int) -> Sequence:
     """Fixed points of the k-th iterate: F(kn), length |f| // k."""
     f.require_view(View.FIX, "iterate_fix")
     n_out = _check_power(k, len(f), "iterate_fix")
-    return Sequence(View.FIX, tuple(f[k * n] for n in range(1, n_out + 1)))
+    return Sequence(View.FIX, f.terms[k - 1 : k * n_out : k])
 
 
 def iterate_orbits(o: Sequence, k: int) -> Sequence:

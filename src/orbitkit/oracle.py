@@ -5,7 +5,11 @@ directly as its realization, o(n) cycles of length n for n up to
 len(o).  Products and iterates are then one simulation, _trace: a
 translation of the torus Z/d1 x Z/d2, followed point by point.  The
 paper's gcd/lcm product sum referees the fixed-point route of the
-operators module.  Slow and dumb on purpose: these are the referees for
+operators module.  The orbit monoid's weight-n counts G(n) are the
+coefficients of zeta_T(s) = prod_i (1 - s^i)^{-O(i)}: product_formula
+multiplies that product out factor by factor and monoid_by_partitions
+counts the elements, two referees for the Euler recurrence of the
+transforms module.  Slow and dumb on purpose: these are the referees for
 the clever routes, and they walk their own divisors (`_divisors`).
 """
 
@@ -137,6 +141,26 @@ def monoid_by_partitions(o: Sequence, order: int) -> Sequence:
             total += ways
         counts.append(total)
     return Sequence(View.MONOID, tuple(counts))
+
+
+def product_formula(o: Sequence) -> Sequence:
+    """Coefficients G(1..|o|) of prod_i (1 - s^i)^{-O(i)}."""
+    o.require_view(View.ORBIT, "product_formula")
+    order = len(o)
+    out = [1] + [0] * order
+    for i in range(1, order + 1):
+        c = o[i]
+        if c == 0:
+            continue
+        new = [0] * (order + 1)
+        for j in range(order // i + 1):
+            w = comb(c + j - 1, j)  # (1 - s^i)^(-c) = sum_j C(c+j-1, j) s^(ij)
+            pos = i * j
+            for q in range(order + 1 - pos):
+                if out[q]:
+                    new[pos + q] += w * out[q]
+        out = new
+    return Sequence(View.MONOID, out[1:])
 
 
 def cyclic_subgroup_count(n: int) -> int:

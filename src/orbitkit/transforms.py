@@ -101,7 +101,7 @@ def euler_inverse(g: Sequence) -> Sequence:
     terms = g.terms
     fix: list[int] = []
     for n in range(1, len(terms) + 1):
-        value = n * terms[n - 1] - sum(map(mul, fix, reversed(terms[: n - 1])))
+        value = n * terms[n - 1] - sum(map(mul, terms, reversed(fix)))
         if value < 0:
             raise NegativeError(n, f"recovered fix count at n={n} is negative")
         fix.append(value)
