@@ -1,17 +1,18 @@
 """Operators combining systems: product, disjoint union, iteration.
 
-Fixed points of a product compose pointwise, so the orbit product runs
-orbit -> fix -> pointwise product -> orbit; the paper's gcd-weighted lcm
-sum is its referee in the oracle.  Iteration acts on fixed points by
-dilation F_{T^k}(n) = F_T(kn), and on orbit counts by the divisor sum
-over the part of k supported on primes missing from n.
+Both operators on maps act pointwise on fixed points, so each orbit route
+runs orbit -> fix -> pointwise -> orbit: the product multiplies,
+F_{T x S}(n) = F_T(n) F_S(n), and the k-th iterate dilates,
+F_{T^k}(n) = F_T(kn).  Their referees in the oracle count orbits
+directly, by the paper's gcd-weighted lcm sum and by the gcd split of
+each cycle under the k-th power.
 """
 
 from __future__ import annotations
 
 from operator import add, mul
 
-from .numtheory import _require_int, factorize
+from .numtheory import _require_int
 from .sequences import Sequence, View
 from .transforms import fix_to_orbit, orbit_to_fix
 
@@ -37,38 +38,14 @@ def product_fix(f: Sequence, g: Sequence) -> Sequence:
     return Sequence(View.FIX, tuple(map(mul, f.terms, g.terms)))
 
 
-def _check_power(k: int, available: int, op: str) -> int:
-    _require_int(k, "k")
-    n_out = available // k
-    if n_out < 1:
-        raise ValueError(
-            f"{op} with k={k} needs at least {k} input terms, got {available}"
-        )
-    return n_out
-
-
 def iterate_fix(f: Sequence, k: int) -> Sequence:
     """Fixed points of the k-th iterate: F(kn), length |f| // k."""
     f.require_view(View.FIX, "iterate_fix")
-    n_out = _check_power(k, len(f), "iterate_fix")
-    return Sequence(View.FIX, f.terms[k - 1 : k * n_out : k])
+    _require_int(k, "k", most=len(f))
+    return Sequence(View.FIX, f.terms[k - 1 :: k])
 
 
 def iterate_orbits(o: Sequence, k: int) -> Sequence:
-    """Orbit counts of the k-th iterate, computed directly.
-
-    With J the primes of k missing from n and q their full contribution
-    to k, the count is sum_{d | q} (k/d) * O(kn/d).  This never goes
-    through fixed-point data, so it can cross-check the dilation route.
-    """
+    """Orbit counts of the k-th iterate, to length |o| // k."""
     o.require_view(View.ORBIT, "iterate_orbits")
-    n_out = _check_power(k, len(o), "iterate_orbits")
-    k_pairs = factorize(k)
-    terms = []
-    for n in range(1, n_out + 1):
-        divs = [1]  # the divisors of q, from k's own factorization
-        for p, a in k_pairs:
-            if n % p:
-                divs += [d * p**j for j in range(1, a + 1) for d in divs]
-        terms.append(sum((k // d) * o[k * n // d] for d in divs))
-    return Sequence(View.ORBIT, tuple(terms))
+    return fix_to_orbit(iterate_fix(orbit_to_fix(o), k))

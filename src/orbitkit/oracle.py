@@ -4,9 +4,11 @@ Everything here is deliberately naive.  An orbit Sequence o is read
 directly as its realization, o(n) cycles of length n for n up to
 len(o).  Products and iterates are then one simulation, _trace: a
 translation of the torus Z/d1 x Z/d2, followed point by point.  The
-paper's gcd/lcm product sum referees the fixed-point route of the
-operators module.  The orbit monoid's weight-n counts G(n) are the
-coefficients of zeta_T(s) = prod_i (1 - s^i)^{-O(i)}: product_formula
+paper's orbit-level counts referee the fixed-point routes of the
+operators module: its gcd/lcm sum the product, and the gcd split of
+each cycle under the k-th power the iterate.  The orbit monoid's
+weight-n counts G(n) are the coefficients of
+zeta_T(s) = prod_i (1 - s^i)^{-O(i)}: product_formula
 multiplies that product out factor by factor and monoid_by_partitions
 counts the elements, two referees for the Euler recurrence of the
 transforms module.  Slow and dumb on purpose: these are the referees for
@@ -53,6 +55,20 @@ def product_by_lcm(u: Sequence, v: Sequence) -> Sequence:
                 if d1 * d2 == n * g:  # lcm(d1, d2) == n
                     total += u[d1] * v[d2] * g
         terms.append(total)
+    return Sequence(View.ORBIT, tuple(terms))
+
+
+def iterate_by_gcd(o: Sequence, k: int) -> Sequence:
+    """Orbit counts of the k-th iterate by the paper's rule, to |o| // k.
+
+    The k-th power of an m-cycle is gcd(m, k) cycles of length m / gcd(m, k),
+    so with m = ng: O(n) = sum over g | k with gcd(n, k/g) = 1 of g O(ng).
+    """
+    o.require_view(View.ORBIT, "oracle.iterate_by_gcd")
+    _require_int(k, "k", most=len(o))
+    divs = _divisors(k)
+    terms = (sum(g * o[n * g] for g in divs if gcd(n, k // g) == 1)
+             for n in range(1, len(o) // k + 1))
     return Sequence(View.ORBIT, tuple(terms))
 
 

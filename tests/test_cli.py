@@ -204,6 +204,8 @@ _ROWS = [
     _row("op product --k 2 --in s3.b --in s3.b", 2, "usage error: --k only applies to iterate"),
     _row("op product --in s3.b --in s3.b --terms 5", 2,
          "usage error: input has 3 terms but 5 were requested"),
+    # a power past the input, with no --terms, is named by the operator's own check of k
+    _row("op iterate --in six.b --k 7", 2, "usage error: k must be at most 6, got 7"),
     # k input terms per output term, even where k times --terms is past an index
     *(_row(f"op iterate --in six.b --k 2 --terms {t}", 2,
            f"usage error: input has 6 terms but {2 * t} were requested") for t in (4, _MAX)),
@@ -323,9 +325,9 @@ def test_op_iterate(expect):
 
 
 def test_verify_pass():
-    # zeta to 43 terms has 2^14 factor pairs, more than the search's default limit; both oracle
-    # simulations go through one torus tracer; fix-series runs in cleared form, in ints
-    terms = {"ttimest-series": 200, "zeta-factorization": 43, "oracle-product": 16,
+    # zeta to 42 terms has 2^13 factor pairs, the most that zeta-factorization checks whole; both
+    # oracle simulations go through one torus tracer; fix-series runs in cleared form, in ints
+    terms = {"ttimest-series": 200, "zeta-factorization": 42, "oracle-product": 16,
              "oracle-iterate": 40, "fix-series": 1000}
     got = {name: invoke("verify", name, "--terms", str(n)) for name, n in terms.items()}
     assert got == {name: (0, f"{name}: PASS\n", "") for name in terms}

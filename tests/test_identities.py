@@ -2,6 +2,8 @@ import hashlib
 import importlib
 import random
 import sys
+import time
+import tracemalloc
 
 import pytest
 
@@ -172,8 +174,13 @@ _KERNEL_FAULTS = {
         product-distributive: FAIL at index 4 (product does not distribute over union)
         product-fix-consistency: FAIL at index 4 (lcm product disagrees with the fix-count route)
         iterate-fix-consistency: FAIL at index 4 (iterate routes disagree for k=1)
+        iterate-composition: FAIL at index 2 (iterate composition fails for j=2, k=2)
+        sp-iterate-closed-form: FAIL at index 4 (closed form fails for P=(), k=1)
+        feigenbaum-iterate: FAIL at index 4 (feigenbaum iterate wrong for k=1)
         ttimest-series: FAIL at index 4 (self-product prefix wrong)
         fix-series: FAIL at index 4 (fix series identity fails)
+        iterate-id2-series: FAIL at index 4 (second-iterate prefix wrong)
+        iterate-idp-series: FAIL at index 4 (pointwise form fails for p=2)
         sp-zeta-product-series: FAIL at index 4 (closed form fails for P=(2,))
         a035109-prefix: FAIL at index 4 (prefix wrong)
         ramanujan-series: FAIL at index 4 (pointwise form fails for (a,b)=(0,1))
@@ -183,6 +190,7 @@ _KERNEL_FAULTS = {
         localized-monoid: FAIL at index 4 (orbit counts are not the indicator of {1, 2*3^j})
         s-integer-monoid: FAIL at index 4 (orbit prefix wrong)
         oracle-product: FAIL at index 4 (random product case disagrees)
+        oracle-iterate: FAIL at index 4 (exhaustive case o=(0, 0, 0, 0, 0, 0), k=1)
         cyclic-subgroups: FAIL at index 4 (cyclic subgroup count disagrees)
         primitive-lattices: FAIL at index 4 (lattice divisor sum disagrees)
         zeta-factorization: FAIL at index 4 (pair does not multiply back to zeta)
@@ -230,6 +238,16 @@ _KERNEL_FAULTS = {
         zeta-factorization: FAIL at index 2 (pair does not multiply back to zeta)
         three-smooth-factor: FAIL at index 2 (product is not the 3-smooth indicator)
     """),
+    # iterate_orbits dilates fixed points through it, so every identity that iterates fails
+    "operators.iterate_fix": (1, """
+        iterate-fix-consistency: FAIL at index 2 (orbit count at n=2 is not integral)
+        iterate-composition: FAIL at index 2 (orbit count at n=2 is not integral)
+        sp-iterate-closed-form: FAIL at index 2 (orbit count at n=2 is not integral)
+        feigenbaum-iterate: FAIL at index 2 (orbit count at n=2 is not integral)
+        iterate-id2-series: FAIL at index 2 (orbit count at n=2 is not integral)
+        iterate-idp-series: FAIL at index 2 (orbit count at n=2 is not integral)
+        oracle-iterate: FAIL at index 2 (orbit count at n=2 is not integral)
+    """),
     # operators and factorization import it by name; F(1) one too high is not realizable
     # at n = 2, and each identity reports that kernel error as its own FAIL
     "transforms.orbit_to_fix": (1, """
@@ -243,6 +261,8 @@ _KERNEL_FAULTS = {
         product-distributive: FAIL at index 2 (orbit count at n=2 is not integral)
         product-fix-consistency: FAIL at index 3 (orbit count at n=3 is not integral)
         iterate-fix-consistency: FAIL at index 2 (orbit count at n=2 is not integral)
+        sp-iterate-closed-form: FAIL at index 2 (orbit count at n=2 is not integral)
+        feigenbaum-iterate: FAIL at index 2 (orbit count at n=2 is not integral)
         ttimest-series: FAIL at index 2 (orbit count at n=2 is not integral)
         sp-zeta-product-series: FAIL at index 2 (orbit count at n=2 is not integral)
         a035109-prefix: FAIL at index 2 (orbit count at n=2 is not integral)
@@ -256,6 +276,7 @@ _KERNEL_FAULTS = {
         s-integer-monoid: FAIL at index 2 (monoid count at n=2 is not integral)
         oracle-count-fixed: FAIL at index 1 (count_fixed disagrees with orbit_to_fix)
         oracle-product: FAIL at index 2 (orbit count at n=2 is not integral)
+        oracle-iterate: FAIL at index 2 (orbit count at n=2 is not integral)
         cyclic-subgroups: FAIL at index 2 (orbit count at n=2 is not integral)
         primitive-lattices: FAIL at index 2 (orbit count at n=2 is not integral)
         zeta-factorization: FAIL (found 0 pairs, expected 16)
@@ -271,6 +292,8 @@ _KERNEL_FAULTS = {
         iterate-fix-consistency: FAIL at index 25 (iterate routes disagree for k=1)
         ttimest-series: FAIL at index 25 (squarefree-weighted sigma sum disagrees)
         fix-series: FAIL at index 25 (fix series identity fails)
+        iterate-id2-series: FAIL at index 25 (sparse form fails)
+        iterate-idp-series: FAIL at index 25 (pointwise form fails for p=2)
         sp-zeta-product-series: FAIL at index 25 (closed form fails for P=(2,))
         ramanujan-series: FAIL at index 25 (pointwise form fails for (a,b)=(0,1))
         golden-mean-monoid: FAIL at index 25 (monoid counts are not Fibonacci(n+1))
@@ -304,7 +327,7 @@ _KERNEL_FAULTS = {
     "factorization.factor_search": (_last_pair_as_first, """
         zeta-factorization: FAIL (result set is not swap-symmetric)
     """),
-    # the four kernels that exactly one identity catches
+    # the three kernels that exactly one identity catches
     "dirichlet.div": (1, """
         ttimest-series: FAIL at index 1 (division route disagrees with the product)
     """),
@@ -313,9 +336,6 @@ _KERNEL_FAULTS = {
     """),
     "operators.union_orbits": (1, """
         product-distributive: FAIL at index 1 (product does not distribute over union)
-    """),
-    "operators.iterate_fix": (1, """
-        iterate-fix-consistency: FAIL at index 2 (orbit count at n=2 is not integral)
     """),
     # the b-file writer's split of a term past bfile._CUT, referred to int() by the round trip
     "bfile._digits": (_unpadded, """
@@ -415,6 +435,45 @@ def test_zeta_factorization_limits_the_search_to_one_extra_pair(monkeypatch):
     monkeypatch.setattr(identities, "factor_search", spy)
     assert run("zeta-factorization", 10).ok
     assert limits == [17]
+
+
+@pytest.mark.parametrize("terms", [43, 100, 400])
+def test_zeta_factorization_checks_the_first_64_pairs_past_2_to_the_13(monkeypatch, terms):
+    # all 2^pi(n) pairs would not fit in memory at 100 terms, nor their count in an
+    # islice bound from 307 on; the first 64 come at once, and more remain
+    limits = []
+
+    def spy(target, *, limit):
+        limits.append(limit)
+        return factor_search(target, limit=limit)
+
+    monkeypatch.setattr(identities, "factor_search", spy)
+    start = time.perf_counter()
+    tracemalloc.start()
+    try:
+        got = invoke("verify", "zeta-factorization", "--terms", str(terms))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (0, "zeta-factorization: PASS\n", "")
+    assert time.perf_counter() - start < 5
+    assert peak < 4 * 2**20
+    assert limits == [64]
+
+
+@pytest.mark.parametrize("terms, fake, detail", [
+    pytest.param(43, lambda r: r._replace(truncated=False), "search not truncated",
+                 id="prefix-not-truncated"),
+    pytest.param(43, lambda r: r._replace(pairs=(*r.pairs[:-1], r.pairs[0])),
+                 "left factors are not distinct and ascending", id="prefix-repeats-a-pair"),
+    pytest.param(10, lambda r: r._replace(pairs=(*r.pairs[1:], r.pairs[0])),
+                 "left factors are not distinct and ascending", id="whole-out-of-order"),
+    pytest.param(10, lambda r: r._replace(truncated=True), "search unexpectedly truncated",
+                 id="whole-truncated"),
+])
+def test_zeta_factorization_names_a_wrong_search(monkeypatch, terms, fake, detail):
+    monkeypatch.setattr(identities, "factor_search", lambda *a, **kw: fake(factor_search(*a, **kw)))
+    assert run("zeta-factorization", terms) == VerifyResult("zeta-factorization", False, None, detail)
 
 
 def test_failure_without_index(monkeypatch):

@@ -205,8 +205,8 @@ _INTEGER_ARGUMENTS = {
     "sparse-n_terms": (lambda x: dirichlet.sparse([], x), "n_terms", 1, sys.maxsize),
     "sparse-index": (lambda x: dirichlet.sparse([(x, 5)], 3), "sparse index", 1, 3),
     "dilate": (lambda x: dirichlet.dilate(dirichlet.zeta_poly(4), x), "k", 1, None),
-    "iterate_orbits": (lambda x: operators.iterate_orbits(_Z6, x), "k", 1, None),
-    "iterate_fix": (lambda x: operators.iterate_fix(orbit_to_fix(_Z6), x), "k", 1, None),
+    "iterate_orbits": (lambda x: operators.iterate_orbits(_Z6, x), "k", 1, 6),
+    "iterate_fix": (lambda x: operators.iterate_fix(orbit_to_fix(_Z6), x), "k", 1, 6),
     **{
         name: (factory, "n_terms", 1, sys.maxsize)
         for name, factory in [
@@ -236,6 +236,7 @@ _INTEGER_ARGUMENTS = {
     "simulate_product": (
         lambda x: oracle.simulate_product(_Z6, sequences.zeta(4), x), "n_terms", 1, 4
     ),
+    "iterate_by_gcd": (lambda x: oracle.iterate_by_gcd(_Z6, x), "k", 1, 6),
     "simulate_iterate-k": (lambda x: oracle.simulate_iterate(_Z6, x, 1), "k", 1, None),
     "simulate_iterate-n_terms": (lambda x: oracle.simulate_iterate(_Z6, 2, x), "n_terms", 1, 3),
     "cyclic_subgroup_count": (oracle.cyclic_subgroup_count, "n", 1, None),

@@ -18,7 +18,7 @@ from orbitkit import (
     simulate_product,
 )
 from orbitkit import numtheory, oracle
-from orbitkit.oracle import monoid_by_partitions, product_by_lcm
+from orbitkit.oracle import iterate_by_gcd, monoid_by_partitions, product_by_lcm
 from orbitkit.sequences import delta, zeta
 from helpers import divisors_brute, iterate_brute, product_brute, random_orbit
 
@@ -71,6 +71,7 @@ def test_simulate_product_respects_horizon():
         lambda s: simulate_product(s, zeta(3), 1),
         lambda s: simulate_product(zeta(3), s, 1),
         lambda s: simulate_iterate(s, 1, 1),
+        lambda s: iterate_by_gcd(s, 1),
     ],
 )
 def test_oracle_reads_only_orbit_counts(call):
@@ -147,6 +148,19 @@ def test_simulate_iterate_matches_brute_below_the_horizon(k, data):
     o = Sequence(View.ORBIT, tuple(terms))
     m = data.draw(st.integers(min_value=1, max_value=len(o) // k))
     assert list(simulate_iterate(o, k, m)) == iterate_brute(o, k)[:m]
+
+
+# k = 6, 12 and 30 have two or three primes, each missing from some n
+@given(st.one_of(st.integers(min_value=1, max_value=6), st.sampled_from([12, 30])), st.data())
+@settings(max_examples=60)
+def test_iterate_by_gcd_matches_brute_and_the_simulation(k, data):
+    terms = data.draw(st.lists(st.integers(min_value=0, max_value=4),
+                               min_size=k, max_size=4 * k + 20))
+    o = Sequence(View.ORBIT, tuple(terms))
+    got = list(iterate_by_gcd(o, k))
+    assert got == iterate_brute(o, k)
+    m = data.draw(st.integers(min_value=1, max_value=len(o) // k))
+    assert list(simulate_iterate(o, k, m)) == got[:m]
 
 
 def test_simulate_iterate_horizon_guard():
