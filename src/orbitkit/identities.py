@@ -367,8 +367,11 @@ def _product_fix_consistency(n: int) -> None:
 def _iterate_fix_consistency(n: int) -> None:
     for (o,) in _cases(1010, 40, _orbits(max(n, 6), 4)):
         for k in range(1, 7):
-            _expect(oracle.iterate_by_gcd(o, k), operators.iterate_orbits(o, k),
-                    f"iterate routes disagree for k={k}")
+            _expect(
+                oracle.iterate_by_gcd(o, k),
+                operators.iterate_orbits(o, k),
+                f"iterate routes disagree for k={k}",
+            )
 
 
 @identity("iterate-composition", 48, "iterating j then k equals iterating jk")
