@@ -29,7 +29,7 @@ from .identities import REGISTRY, run
 from .numtheory import PrimeSet, _require_int
 from .operators import iterate_orbits, product_orbits, union_orbits
 from .sequences import Sequence, View, builtin, builtin_names, truncate
-from .transforms import NotRealizableError, convert
+from .transforms import NotRealizableError, _invert_fix_terms, convert
 
 _PRIME_SET_PARAMS = frozenset({"P", "S"})
 _BFILE_SLICE = 128  # b-file lines formatted per write
@@ -118,6 +118,9 @@ _TRANSFORMS = {
 
 def _cmd_transform(args) -> int:
     in_view, out_view = _TRANSFORMS[args.kind]
+    if args.kind == "fix-to-orbit":  # inverted in place, over the one list that holds the input
+        _write_bfile(_invert_fix_terms(list(_read_sequence(args.infile, in_view).terms)))
+        return 0
     result = convert(_read_sequence(args.infile, in_view), out_view)
     _write_bfile(result.terms)
     return 0

@@ -8,13 +8,14 @@ leading coefficient and the quotient is integral.  Identities with
 infinite Euler products or 1/n weights are checked in cleared-denominator
 form, so only these finite integer objects ever exist.
 Multiplying and dividing by zeta run on its Euler product instead, one
-slice pass per prime power; the harmonic mul and div are their referee.
+pass per prime power: times_zeta in slices of a copy, over_zeta in place
+over the list it is given; the harmonic mul and div are their referee.
 """
 
 from __future__ import annotations
 
 import sys
-from operator import add, sub
+from operator import add
 from typing import Iterable
 
 from .numtheory import _Value, _require_int, primes_upto
@@ -125,12 +126,18 @@ def times_zeta(a: Iterable[int]) -> list[int]:
     return out
 
 
-def over_zeta(a: Iterable[int]) -> list[int]:
-    """Moebius sums of a: a divided by zeta, times (1 - p^-s) for each prime p."""
-    out = list(a)
+def over_zeta(out: list[int]) -> list[int]:
+    """Moebius sums of out, in place: out divided by zeta, times (1 - p^-s) for each prime p.
+
+    Returns the list it was given.  Each prime's pass walks the multiples
+    m = p*j from the top down, so term j still holds its value from before
+    the pass when term m takes it away: an old term is released as soon as
+    it is replaced, and no slice of the list is copied.
+    """
     n = len(out)
     for p in primes_upto(n):
-        out[p - 1 :: p] = map(sub, out[p - 1 :: p], out[: n // p])
+        for j in range(n // p, 0, -1):
+            out[p * j - 1] -= out[j - 1]
     return out
 
 

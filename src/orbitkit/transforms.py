@@ -2,7 +2,7 @@
 
 orbit -> fix is the divisor sum F(n) = sum_{d|n} d * O(d): the series
 n*O(n) times zeta, by dirichlet.times_zeta.  fix -> orbit is its Moebius
-inversion: dirichlet.over_zeta.  orbit <-> monoid is the Euler
+inversion: dirichlet.over_zeta, in place.  orbit <-> monoid is the Euler
 transform, by monoid_counts; convert(f, View.MONOID) is the dynamical
 zeta power series of realizable fixed-point data f.  All arithmetic is
 exact; failures of integrality or positivity are how non-realizable
@@ -57,17 +57,19 @@ def _exact_count(total: int, n: int, what: str) -> int:
     return q
 
 
-def _invert_fix_terms(terms: Vector[int]) -> list[int]:
-    """O(n) = (1/n) sum_{d|n} mu(n/d) F(d), exactly: F over zeta, each written over its total."""
-    counts = dirichlet.over_zeta(terms)
-    for n, total in enumerate(counts, start=1):
-        counts[n - 1] = _exact_count(total, n, "orbit")
-    return counts
+def _invert_fix_terms(fix: list[int]) -> list[int]:
+    """O(n) = (1/n) sum_{d|n} mu(n/d) F(d), exactly, in place: the list of F
+    is divided by zeta, then each total is written over by its count, in
+    ascending n.  Returns the list it was given."""
+    dirichlet.over_zeta(fix)
+    for n, total in enumerate(fix, start=1):
+        fix[n - 1] = _exact_count(total, n, "orbit")
+    return fix
 
 
 def fix_to_orbit(f: Sequence) -> Sequence:
     f.require_view(View.FIX, "fix_to_orbit")
-    return Sequence(View.ORBIT, tuple(_invert_fix_terms(f.terms)))
+    return Sequence(View.ORBIT, tuple(_invert_fix_terms(list(f.terms))))
 
 
 def monoid_counts(fix: Vector[int]) -> list[int]:

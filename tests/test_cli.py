@@ -455,6 +455,28 @@ def test_factor_text_memory_follows_blocks(tmp_path):
         assert sum(1 for _ in fh) == 10_000
 
 
+def test_fix_to_orbit_memory_holds_one_copy_of_the_terms(tmp_path):
+    # the full 2-shift's fixed points 2^n to 6,000 terms, about 2.6 MB of ints; the
+    # command inverts them in place, where a second vector of them would be about 2.1 times
+    fix = [2**n for n in range(1, 6001)]
+    size = sum(map(sys.getsizeof, fix))
+    f = tmp_path / "fix.b"
+    f.write_text(format_bfile(fix), encoding="ascii")
+    del fix
+    with open(tmp_path / "out.txt", "w", encoding="ascii") as fh, contextlib.redirect_stdout(fh):
+        tracemalloc.start()
+        try:
+            code = main(["transform", "fix-to-orbit", "--in", str(f)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 1.6 * size
+    with open(tmp_path / "out.txt", encoding="ascii") as fh:  # binary necklaces
+        assert [next(fh) for _ in range(6)] == ["1 2\n", "2 1\n", "3 2\n", "4 3\n", "5 6\n", "6 9\n"]
+        assert sum(1 for _ in fh) == 5_994
+
+
 def test_export_import_roundtrip(expect):
     expect("export --offset 0", 0, "", out="0 4\n1 5\n2 6\n", stdin="1 4\n2 5\n3 6\n")
     expect("import", 0, "", out="1 4\n2 5\n3 6\n", stdin="0 4\n1 5\n2 6\n")

@@ -196,6 +196,43 @@ _KERNEL_FAULTS = {
         zeta-factorization: FAIL at index 4 (pair does not multiply back to zeta)
         three-smooth-factor: FAIL at index 4 (product is not the 3-smooth indicator)
     """),
+    # orbit_to_fix's kernel: F(4) one too high leaves 4 * O(4) a quarter off, and the
+    # iterates that read F(4) as F_{T^2}(2) find O(2) half off
+    "dirichlet.times_zeta": (4, """
+        fix-orbit-roundtrip: FAIL at index 4 (orbit count at n=4 is not integral)
+        euler-roundtrip: FAIL at index 4 (monoid count at n=4 is not integral)
+        multiplicative-iff: FAIL (orbit/fix multiplicativity disagree on the orbit counts of zeta)
+        product-multiplicative: FAIL at index 4 (orbit count at n=4 is not integral)
+        product-identity: FAIL at index 4 (orbit count at n=4 is not integral)
+        product-commutative: FAIL at index 4 (orbit count at n=4 is not integral)
+        product-associative: FAIL at index 4 (orbit count at n=4 is not integral)
+        product-distributive: FAIL at index 4 (orbit count at n=4 is not integral)
+        product-fix-consistency: FAIL at index 8 (orbit count at n=8 is not integral)
+        iterate-fix-consistency: FAIL at index 4 (orbit count at n=4 is not integral)
+        iterate-composition: FAIL at index 2 (orbit count at n=2 is not integral)
+        sp-iterate-closed-form: FAIL at index 4 (orbit count at n=4 is not integral)
+        feigenbaum-iterate: FAIL at index 4 (orbit count at n=4 is not integral)
+        ttimest-series: FAIL at index 4 (orbit count at n=4 is not integral)
+        iterate-id2-series: FAIL at index 2 (orbit count at n=2 is not integral)
+        iterate-idp-series: FAIL at index 2 (orbit count at n=2 is not integral)
+        sp-zeta-product-series: FAIL at index 4 (orbit count at n=4 is not integral)
+        a035109-prefix: FAIL at index 4 (orbit count at n=4 is not integral)
+        ramanujan-series: FAIL at index 4 (orbit count at n=4 is not integral)
+        three-route-monoid: FAIL at index 4 (monoid count at n=4 is not integral)
+        euler-partitions: FAIL at index 4 (monoid count at n=4 is not integral)
+        golden-mean-monoid: FAIL at index 4 (monoid count at n=4 is not integral)
+        full-shift-monoid: FAIL at index 4 (monoid count at n=4 is not integral)
+        dual-rational-monoid: FAIL at index 4 (monoid count at n=4 is not integral)
+        localized-monoid: FAIL at index 4 (monoid count at n=4 is not integral)
+        s-integer-monoid: FAIL at index 4 (monoid count at n=4 is not integral)
+        oracle-count-fixed: FAIL at index 4 (count_fixed disagrees with orbit_to_fix)
+        oracle-product: FAIL at index 12 (orbit count at n=12 is not integral)
+        oracle-iterate: FAIL at index 4 (orbit count at n=4 is not integral)
+        cyclic-subgroups: FAIL at index 4 (orbit count at n=4 is not integral)
+        primitive-lattices: FAIL at index 4 (orbit count at n=4 is not integral)
+        zeta-factorization: FAIL (found 0 pairs, expected 16)
+        three-smooth-factor: FAIL at index 4 (orbit count at n=4 is not integral)
+    """),
     # only the checks of divisors itself walk divisors; the oracle walks its own
     "numtheory.divisors": (_largest_divisor_plus_one, """
         mobius-sum: FAIL at index 1 (divisor sum of mu is not the indicator of 1)
@@ -361,6 +398,10 @@ def _corrupt(monkeypatch, kernel, corruption):
         out = real(*args)
         if corruption is None:
             return out + 1
+        if isinstance(out, list):  # a zeta kernel's list
+            if len(out) >= corruption:
+                out[corruption - 1] += 1
+            return out
         poly = isinstance(out, DirichletPoly)
         values = out.coeffs if poly else out.terms
         if len(values) >= corruption:

@@ -15,6 +15,7 @@ from orbitkit import (
     euler,
     euler_inverse,
     fix_to_orbit,
+    format_bfile,
     is_multiplicative,
     orbit_to_fix,
     part,
@@ -26,6 +27,7 @@ from helpers import (
     euler_inverse_brute,
     fix_from_orbit_brute,
     invert_fix_brute,
+    invoke,
     is_multiplicative_brute,
     random_orbit,
 )
@@ -143,6 +145,23 @@ def test_long_and_huge_data_match_brute(data):
         with pytest.raises(NotRealizableError) as err:
             fix_to_orbit(f)
         assert (err.value.index, type(err.value)) == expected
+
+
+@given(deep_fix_data())
+@settings(max_examples=30, deadline=None)
+def test_transform_fix_to_orbit_inverts_as_brute(data):
+    # the command inverts the b-file's own list in place, not through fix_to_orbit
+    o, fix, bad = data
+    assert invoke("transform", "fix-to-orbit", stdin=format_bfile(fix)) == (0, format_bfile(o), "")
+    expected = invert_fix_brute(bad)
+    got = invoke("transform", "fix-to-orbit", stdin=format_bfile(bad))
+    if isinstance(expected, list):
+        assert got == (0, format_bfile(expected), "")
+    else:
+        with pytest.raises(NotRealizableError) as err:
+            fix_to_orbit(Sequence(View.FIX, tuple(bad)))
+        assert (err.value.index, type(err.value)) == expected
+        assert got == (1, "", f"verification failure: {err.value}\n")
 
 
 def test_fix_to_orbit_nonintegral():
